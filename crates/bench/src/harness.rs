@@ -57,11 +57,6 @@ pub fn stage_trace_json(stage: &gralmatch_core::StageTrace) -> gralmatch_util::J
                 ("pre_cleanup_seconds", phases.pre_cleanup_seconds.to_json()),
                 ("mincut_seconds", phases.mincut_seconds.to_json()),
                 ("betweenness_seconds", phases.betweenness_seconds.to_json()),
-                (
-                    "bridge_cache_hits",
-                    (phases.bridge_cache_hits as f64).to_json(),
-                ),
-                ("rescanned_nodes", (phases.rescanned_nodes as f64).to_json()),
             ]),
         ));
     }

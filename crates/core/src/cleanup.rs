@@ -31,18 +31,20 @@
 //! (components sorted by minimum node id, removals in per-component
 //! discovery order). Within a component, the per-component worker keeps one
 //! mutable scratch graph for the whole lineage of splits — removals mutate
-//! it in place and the split sides are tracked directly from the cut, so a
-//! round costs O(region) instead of O(component) and nothing is re-induced
-//! from the global graph after the first copy. Oversized regions are first
-//! attacked with [`most_balanced_bridge`] (a bridge is a weight-1 min cut,
-//! found in O(V+E)) and only fall back to Stoer–Wagner / max-flow
-//! [`global_min_cut`] when the region is 2-edge-connected. The seed
-//! implementation survives as [`reference_graph_cleanup`] for benchmarking
-//! and fallback-injection tests.
+//! it in place and the split sides are tracked directly from the cut, so
+//! nothing is re-induced from the global graph after the first copy.
+//! Oversized regions are first split at their most balanced bridge (a
+//! weight-1 min cut): the component's bridges and 2-edge-connected blocks
+//! come from one [`cut_structure`] scan, and every bridge round is answered
+//! from that block tree. Stoer–Wagner / max-flow [`global_min_cut`] runs
+//! only on 2-edge-connected regions. Nothing persists between calls: a
+//! dirty component is scanned once per cleanup (`docs/CLEANUP.md`). The
+//! seed implementation survives as [`reference_graph_cleanup`] for
+//! benchmarking and fallback-injection tests.
 
 use gralmatch_graph::{
-    betweenness::max_betweenness_edge, component_of, connected_components, global_min_cut,
-    most_balanced_bridge, CutIndex, Edge, Graph, Subgraph,
+    betweenness::max_betweenness_edge, component_of, connected_components, cut_structure,
+    global_min_cut, most_balanced_bridge, Edge, Graph, Subgraph,
 };
 use gralmatch_util::{Stopwatch, WorkerPool};
 
@@ -123,12 +125,6 @@ pub struct CleanupReport {
     /// Wall-clock seconds spent in the betweenness phase (summed across
     /// components).
     pub betweenness_seconds: f64,
-    /// Min-cut rounds answered from a persistent [`CutIndex`] without a
-    /// Tarjan scan of the region (0 on the non-indexed path).
-    pub bridge_cache_hits: usize,
-    /// Nodes the [`CutIndex`] had to Tarjan-rescan (dirty blocks plus
-    /// cold/invalidated regions; 0 on the non-indexed path).
-    pub rescanned_nodes: usize,
 }
 
 impl CleanupReport {
@@ -145,8 +141,6 @@ impl CleanupReport {
         self.pre_cleanup_seconds += other.pre_cleanup_seconds;
         self.mincut_seconds += other.mincut_seconds;
         self.betweenness_seconds += other.betweenness_seconds;
-        self.bridge_cache_hits += other.bridge_cache_hits;
-        self.rescanned_nodes += other.rescanned_nodes;
     }
 
     /// The per-phase timing split, in the shape trace consumers expect.
@@ -155,8 +149,6 @@ impl CleanupReport {
             pre_cleanup_seconds: self.pre_cleanup_seconds,
             mincut_seconds: self.mincut_seconds,
             betweenness_seconds: self.betweenness_seconds,
-            bridge_cache_hits: self.bridge_cache_hits,
-            rescanned_nodes: self.rescanned_nodes,
         }
     }
 }
@@ -174,16 +166,6 @@ pub fn pre_cleanup(
     threshold: usize,
     is_removable: impl Fn(u32, u32) -> bool,
 ) -> usize {
-    pre_cleanup_edges(graph, threshold, is_removable).len()
-}
-
-/// [`pre_cleanup`], returning the removed edges themselves — callers
-/// maintaining a [`CutIndex`] over the graph feed them in as deltas.
-pub fn pre_cleanup_edges(
-    graph: &mut Graph,
-    threshold: usize,
-    is_removable: impl Fn(u32, u32) -> bool,
-) -> Vec<Edge> {
     let components = connected_components(graph);
     let mut to_remove: Vec<Edge> = Vec::new();
     for component in components {
@@ -198,8 +180,7 @@ pub fn pre_cleanup_edges(
             }
         }
     }
-    graph.remove_edges(&to_remove);
-    to_remove
+    graph.remove_edges(&to_remove)
 }
 
 /// Everything one component's cleanup decided: the global edges it removed
@@ -224,11 +205,181 @@ fn complement_of(region: &[u32], side: &[u32]) -> Vec<u32> {
     out
 }
 
+/// A bridge carried through phase 1: `(component-local edge, block of .0,
+/// block of .1)`.
+type BlockBridge = ((u32, u32), u32, u32);
+
+/// `parent_bridge` markers: block not reached yet / block is the root.
+const UNVISITED: u32 = u32::MAX;
+const ROOT: u32 = u32::MAX - 1;
+
+/// One phase-1 round answered from the block tree.
+struct BridgeRound {
+    /// The most balanced bridge (component-local, canonical).
+    edge: (u32, u32),
+    /// Region nodes on the far side of `edge` from the region minimum.
+    side: Vec<u32>,
+    /// The region's other bridges, split by the side they fall on.
+    side_bridges: Vec<BlockBridge>,
+    other_bridges: Vec<BlockBridge>,
+}
+
+/// The 2-edge-connected block labels of one component, plus per-block
+/// buffers reused across rounds (all-zero / empty / unvisited between
+/// rounds).
+///
+/// Cutting a bridge removes one edge of the block tree and changes nothing
+/// else, so the two sides inherit their blocks and bridges verbatim: one
+/// [`cut_structure`] scan answers every bridge round that follows it. Only
+/// a Stoer–Wagner cut, which can rip through block interiors, leaves
+/// regions whose labels must be scanned again.
+struct BlockTree {
+    block_of: Vec<u32>,
+    /// Region nodes per block during a round, then subtree weights.
+    weight: Vec<u32>,
+    /// `(other block, bridge index)` per block.
+    adj: Vec<Vec<(u32, u32)>>,
+    parent_bridge: Vec<u32>,
+    on_side: Vec<bool>,
+}
+
+impl BlockTree {
+    fn new(num_nodes: usize) -> Self {
+        BlockTree {
+            block_of: vec![u32::MAX; num_nodes],
+            weight: Vec::new(),
+            adj: Vec::new(),
+            parent_bridge: Vec::new(),
+            on_side: Vec::new(),
+        }
+    }
+
+    /// Label the nodes of `rsub` (local node `i` is component node
+    /// `local_of(i)`, monotone) with fresh block ids from one
+    /// [`cut_structure`] scan; returns the region's bridges.
+    fn scan(&mut self, rsub: &Subgraph, local_of: impl Fn(u32) -> u32) -> Vec<BlockBridge> {
+        let structure = cut_structure(rsub);
+        let base = self.weight.len() as u32;
+        for (i, &block) in structure.block_of.iter().enumerate() {
+            self.block_of[local_of(i as u32) as usize] = base + block;
+        }
+        let num_blocks = self.weight.len() + structure.num_blocks as usize;
+        self.weight.resize(num_blocks, 0);
+        self.adj.resize_with(num_blocks, Vec::new);
+        self.parent_bridge.resize(num_blocks, UNVISITED);
+        self.on_side.resize(num_blocks, false);
+        let block = |node: u32| base + structure.block_of[node as usize];
+        structure
+            .bridges
+            .iter()
+            .map(|&(a, b)| ((local_of(a), local_of(b)), block(a), block(b)))
+            .collect()
+    }
+
+    /// [`most_balanced_bridge`] of the connected `region` (sorted), from
+    /// its carried `bridges` (non-empty): O(region) bookkeeping, no graph
+    /// traversal.
+    fn split(&mut self, region: &[u32], bridges: Vec<BlockBridge>) -> BridgeRound {
+        let mut touched: Vec<u32> = Vec::new();
+        for &node in region {
+            let block = self.block_of[node as usize];
+            if self.weight[block as usize] == 0 {
+                touched.push(block);
+            }
+            self.weight[block as usize] += 1;
+        }
+        for (i, &(_, x, y)) in bridges.iter().enumerate() {
+            self.adj[x as usize].push((y, i as u32));
+            self.adj[y as usize].push((x, i as u32));
+        }
+        // Root the tree at the region minimum's block, where the Tarjan
+        // scan roots its DFS, and fold subtree weights children-first.
+        let root = self.block_of[region[0] as usize];
+        let mut order: Vec<u32> = Vec::with_capacity(touched.len());
+        let mut child_block: Vec<u32> = vec![0; bridges.len()];
+        self.parent_bridge[root as usize] = ROOT;
+        let mut stack = vec![root];
+        while let Some(block) = stack.pop() {
+            order.push(block);
+            for &(next, bridge) in &self.adj[block as usize] {
+                if self.parent_bridge[next as usize] == UNVISITED {
+                    self.parent_bridge[next as usize] = bridge;
+                    child_block[bridge as usize] = next;
+                    stack.push(next);
+                }
+            }
+        }
+        for &block in order.iter().rev() {
+            let bridge = self.parent_bridge[block as usize];
+            if bridge != ROOT {
+                let (_, x, y) = bridges[bridge as usize];
+                let parent = if block == x { y } else { x };
+                self.weight[parent as usize] += self.weight[block as usize];
+            }
+        }
+        let n = region.len();
+        let best = (0..bridges.len())
+            .max_by_key(|&i| {
+                let size = self.weight[child_block[i] as usize] as usize;
+                (size.min(n - size), std::cmp::Reverse(bridges[i].0))
+            })
+            .expect("split needs a bridge");
+
+        // The child side: every block hanging below the chosen bridge.
+        let below = child_block[best];
+        self.on_side[below as usize] = true;
+        let mut walk = vec![below];
+        while let Some(block) = walk.pop() {
+            for &(next, bridge) in &self.adj[block as usize] {
+                if bridge != best as u32 && !self.on_side[next as usize] {
+                    self.on_side[next as usize] = true;
+                    walk.push(next);
+                }
+            }
+        }
+        let side: Vec<u32> = region
+            .iter()
+            .copied()
+            .filter(|&node| self.on_side[self.block_of[node as usize] as usize])
+            .collect();
+        let edge = bridges[best].0;
+        let (mut side_bridges, mut other_bridges) = (Vec::new(), Vec::new());
+        for (i, bridge) in bridges.into_iter().enumerate() {
+            if i == best {
+                continue;
+            }
+            if self.on_side[bridge.1 as usize] {
+                side_bridges.push(bridge);
+            } else {
+                other_bridges.push(bridge);
+            }
+        }
+        for &block in &touched {
+            self.weight[block as usize] = 0;
+            self.adj[block as usize].clear();
+            self.parent_bridge[block as usize] = UNVISITED;
+            self.on_side[block as usize] = false;
+        }
+        BridgeRound {
+            edge,
+            side,
+            side_bridges,
+            other_bridges,
+        }
+    }
+}
+
 /// Run both phases of Algorithm 1 on a single connected component of
 /// `graph`, without mutating it. The component is copied once into a
-/// mutable scratch graph; every subsequent round induces only the region
-/// it is splitting and tracks the split sides directly from the cut, so no
-/// global `connected_components` pass ever runs.
+/// mutable scratch graph that every removal mutates in place; the split
+/// sides are tracked directly from each cut, so no global
+/// `connected_components` pass ever runs.
+///
+/// Phase 1 scans the component's cut structure once and answers each
+/// bridge round from the carried block tree ([`BlockTree`]); only
+/// 2-edge-connected regions run Stoer–Wagner, and only the regions such a
+/// cut leaves behind are scanned again. Debug builds check every
+/// block-tree round against a fresh [`most_balanced_bridge`] scan.
 ///
 /// Invariant: the regions in the work queues are exactly the connected
 /// components of the scratch graph that may still exceed a threshold, so
@@ -246,47 +397,86 @@ fn cleanup_component(graph: &Graph, component: &[u32], config: &CleanupConfig) -
         scratch.add_edge(a, b);
     }
 
-    // Phase 1: minimum edge cuts while |region| > γ. Bridge-first: a
-    // Tarjan bridge is a weight-1 min cut found in O(V+E); Stoer–Wagner
-    // only runs on 2-edge-connected regions.
+    // Phase 1: minimum edge cuts while |region| > γ. A bridge is a
+    // weight-1 min cut; queued regions carry their bridges, or `None`
+    // when a Stoer–Wagner cut left them unlabelled.
+    let mut tree = BlockTree::new(n);
+    let initial = (n > config.gamma).then(|| tree.scan(&sub, |i| i));
     let mut phase2: Vec<Vec<u32>> = Vec::new();
-    let mut queue: Vec<Vec<u32>> = vec![(0..n as u32).collect()];
-    while let Some(region) = queue.pop() {
+    let mut queue: Vec<(Vec<u32>, Option<Vec<BlockBridge>>)> =
+        vec![((0..n as u32).collect(), initial)];
+    while let Some((region, carried)) = queue.pop() {
         if region.len() <= config.gamma {
             if region.len() > config.mu {
                 phase2.push(region);
             }
             continue;
         }
-        let rsub = Subgraph::induce(&scratch, &region);
-        let (cut_edges, side) = match most_balanced_bridge(&rsub) {
-            Some(split) => (vec![split.edge], split.child_side),
-            None => match global_min_cut(&rsub) {
-                Some(cut) => (cut.cut_edges, cut.side),
-                None => {
-                    if region.len() > config.mu {
-                        phase2.push(region);
-                    }
-                    continue;
+        let bridges = carried.unwrap_or_else(|| {
+            let rsub = Subgraph::induce(&scratch, &region);
+            tree.scan(&rsub, |i| rsub.locals[i as usize])
+        });
+
+        if bridges.is_empty() {
+            // 2-edge-connected: Stoer–Wagner.
+            let rsub = Subgraph::induce(&scratch, &region);
+            debug_assert!(most_balanced_bridge(&rsub).is_none());
+            let Some(cut) = global_min_cut(&rsub) else {
+                if region.len() > config.mu {
+                    phase2.push(region);
                 }
-            },
-        };
-        report.mincut_rounds += 1;
-        for &(a, b) in &cut_edges {
-            let (sa, sb) = (rsub.locals[a as usize], rsub.locals[b as usize]);
-            if scratch.remove_edge(sa, sb) {
-                report.mincut_removed += 1;
-                removed.push(Edge::new(sub.locals[sa as usize], sub.locals[sb as usize]));
+                continue;
+            };
+            report.mincut_rounds += 1;
+            for &(a, b) in &cut.cut_edges {
+                let (sa, sb) = (rsub.locals[a as usize], rsub.locals[b as usize]);
+                if scratch.remove_edge(sa, sb) {
+                    report.mincut_removed += 1;
+                    removed.push(Edge::new(sub.locals[sa as usize], sub.locals[sb as usize]));
+                }
             }
+            // The cut disconnects the region into exactly `side` and its
+            // complement; `region` and `side` are sorted, so mapping the
+            // side through `rsub.locals` (monotone) keeps both parts sorted.
+            let side: Vec<u32> = cut.side.iter().map(|&i| rsub.locals[i as usize]).collect();
+            let other = complement_of(&region, &side);
+            for part in [side, other] {
+                if part.len() > config.gamma {
+                    queue.push((part, None));
+                } else if part.len() > config.mu {
+                    phase2.push(part);
+                }
+            }
+            continue;
         }
-        // The cut disconnects the region into exactly `side` and its
-        // complement; `region` and `side` are sorted, so mapping the side
-        // through `rsub.locals` (monotone) keeps both parts sorted.
-        let side: Vec<u32> = side.iter().map(|&i| rsub.locals[i as usize]).collect();
-        let other = complement_of(&region, &side);
-        for part in [side, other] {
+
+        let round = tree.split(&region, bridges);
+        #[cfg(debug_assertions)]
+        {
+            let rsub = Subgraph::induce(&scratch, &region);
+            let scan = most_balanced_bridge(&rsub).expect("the scan must find a bridge too");
+            let to_local = |i: u32| rsub.locals[i as usize];
+            assert_eq!(
+                (to_local(scan.edge.0), to_local(scan.edge.1)),
+                round.edge,
+                "block-tree round chose another bridge than the Tarjan scan"
+            );
+            let scan_side: Vec<u32> = scan.child_side.iter().map(|&i| to_local(i)).collect();
+            assert_eq!(scan_side, round.side, "block-tree round split another side");
+        }
+        report.mincut_rounds += 1;
+        let (a, b) = round.edge;
+        if scratch.remove_edge(a, b) {
+            report.mincut_removed += 1;
+            removed.push(Edge::new(sub.locals[a as usize], sub.locals[b as usize]));
+        }
+        let other = complement_of(&region, &round.side);
+        for (part, bridges) in [
+            (round.side, round.side_bridges),
+            (other, round.other_bridges),
+        ] {
             if part.len() > config.gamma {
-                queue.push(part);
+                queue.push((part, Some(bridges)));
             } else if part.len() > config.mu {
                 phase2.push(part);
             }
@@ -328,295 +518,6 @@ fn cleanup_component(graph: &Graph, component: &[u32], config: &CleanupConfig) -
     report.betweenness_seconds = phase2_watch.elapsed_secs();
 
     ComponentOutcome { removed, report }
-}
-
-/// A bridge carried through the indexed phase-1 recursion:
-/// `(component-local edge, dense block of .0, dense block of .1)`.
-type BlockBridge = ((u32, u32), u32, u32);
-
-/// [`cleanup_component`] with the per-round Tarjan scan replaced by a
-/// lookup against the persistent [`CutIndex`].
-///
-/// The index is consulted **once** per component for its bridge/block
-/// structure (a cache hit when the caller kept the delta feed complete; a
-/// region rescan otherwise — the oracle computation). Each phase-1 round
-/// then answers `most_balanced_bridge` by walking the carried block tree
-/// — O(bridges in region) instead of O(region) — which is exact because
-/// cutting a bridge removes a block-tree edge and changes nothing else:
-/// the two sides inherit their blocks and bridges verbatim. The first
-/// Stoer–Wagner fallback inside a region invalidates that region's carried
-/// structure (a multi-edge cut rips through block interiors), so its
-/// descendants fall back to the oracle scan — keeping the output
-/// bit-for-bit identical to [`cleanup_component`] on every input.
-fn cleanup_component_indexed(
-    graph: &Graph,
-    component: &[u32],
-    config: &CleanupConfig,
-    index: &mut CutIndex,
-) -> ComponentOutcome {
-    let mut report = CleanupReport::default();
-    let mut removed: Vec<Edge> = Vec::new();
-
-    let phase1_watch = Stopwatch::start();
-    let sub = Subgraph::induce(graph, component);
-    let n = sub.num_nodes();
-    let mut scratch = Graph::with_nodes(n);
-    for &(a, b) in &sub.edges {
-        scratch.add_edge(a, b);
-    }
-
-    let rescans_before = index.stats.rescanned_nodes;
-    let structure = index.structure_for(&sub, component);
-    report.rescanned_nodes = index.stats.rescanned_nodes - rescans_before;
-    let block_of = structure.block_of;
-    let num_blocks = structure.num_blocks as usize;
-
-    // Reusable per-round buffers over the (fixed) block id space.
-    let mut counts: Vec<u32> = vec![0; num_blocks];
-    let mut block_adj: Vec<Vec<(u32, u32)>> = vec![Vec::new(); num_blocks]; // (other block, bridge idx)
-    let mut on_side: Vec<bool> = vec![false; num_blocks];
-
-    let mut phase2: Vec<Vec<u32>> = Vec::new();
-    let mut queue: Vec<(Vec<u32>, Option<Vec<BlockBridge>>)> =
-        vec![((0..n as u32).collect(), Some(structure.bridges))];
-    while let Some((region, blocks)) = queue.pop() {
-        if region.len() <= config.gamma {
-            if region.len() > config.mu {
-                phase2.push(region);
-            }
-            continue;
-        }
-        let cached = blocks.as_ref().is_some_and(|bridges| !bridges.is_empty());
-        if !cached {
-            // No usable structure (post-Stoer–Wagner region) or a
-            // 2-edge-connected region: exactly the oracle's round.
-            let bridge_known_absent = blocks.is_some();
-            let rsub = Subgraph::induce(&scratch, &region);
-            let split = if bridge_known_absent {
-                debug_assert!(most_balanced_bridge(&rsub).is_none());
-                None
-            } else {
-                most_balanced_bridge(&rsub)
-            };
-            let (cut_edges, side) = match split {
-                Some(split) => (vec![split.edge], split.child_side),
-                None => match global_min_cut(&rsub) {
-                    Some(cut) => (cut.cut_edges, cut.side),
-                    None => {
-                        if region.len() > config.mu {
-                            phase2.push(region);
-                        }
-                        continue;
-                    }
-                },
-            };
-            report.mincut_rounds += 1;
-            for &(a, b) in &cut_edges {
-                let (sa, sb) = (rsub.locals[a as usize], rsub.locals[b as usize]);
-                if scratch.remove_edge(sa, sb) {
-                    report.mincut_removed += 1;
-                    removed.push(Edge::new(sub.locals[sa as usize], sub.locals[sb as usize]));
-                }
-            }
-            let side: Vec<u32> = side.iter().map(|&i| rsub.locals[i as usize]).collect();
-            let other = complement_of(&region, &side);
-            for part in [side, other] {
-                if part.len() > config.gamma {
-                    queue.push((part, None));
-                } else if part.len() > config.mu {
-                    phase2.push(part);
-                }
-            }
-            continue;
-        }
-
-        // Cached round: answer most_balanced_bridge from the block tree.
-        let bridges = blocks.unwrap();
-        let mut touched: Vec<u32> = Vec::new();
-        for &node in &region {
-            let block = block_of[node as usize] as usize;
-            if counts[block] == 0 {
-                touched.push(block as u32);
-            }
-            counts[block] += 1;
-        }
-        for (i, &(_, x, y)) in bridges.iter().enumerate() {
-            block_adj[x as usize].push((y, i as u32));
-            block_adj[y as usize].push((x, i as u32));
-        }
-        // Subtree weights below each bridge, away from the region
-        // minimum's block — the size the oracle's Tarjan assigns to the
-        // bridge's child side.
-        let root = block_of[region[0] as usize];
-        let mut order: Vec<u32> = Vec::with_capacity(touched.len());
-        let mut child_block: Vec<u32> = vec![u32::MAX; bridges.len()];
-        let mut parent_bridge: Vec<u32> = vec![u32::MAX; num_blocks];
-        let mut stack: Vec<u32> = vec![root];
-        parent_bridge[root as usize] = u32::MAX - 1; // visited marker
-        while let Some(block) = stack.pop() {
-            order.push(block);
-            for &(next, bridge) in &block_adj[block as usize] {
-                if parent_bridge[next as usize] == u32::MAX {
-                    parent_bridge[next as usize] = bridge;
-                    child_block[bridge as usize] = next;
-                    stack.push(next);
-                }
-            }
-        }
-        let mut subtree: Vec<u32> = vec![0; num_blocks];
-        for &block in &touched {
-            subtree[block as usize] = counts[block as usize];
-        }
-        for &block in order.iter().rev() {
-            let bridge = parent_bridge[block as usize];
-            if bridge < u32::MAX - 1 {
-                let (_, x, y) = bridges[bridge as usize];
-                let parent = if child_block[bridge as usize] == x {
-                    y
-                } else {
-                    x
-                };
-                subtree[parent as usize] += subtree[block as usize];
-            }
-        }
-        let (best, _) = bridges
-            .iter()
-            .enumerate()
-            .max_by_key(|&(i, (edge, _, _))| {
-                let size = subtree[child_block[i] as usize] as usize;
-                (size.min(region.len() - size), std::cmp::Reverse(*edge))
-            })
-            .expect("bridges non-empty");
-        // Child side: every block hanging below the chosen bridge. The
-        // oracle roots its DFS at the region minimum, so its child side
-        // is exactly the side not containing `root`.
-        let mut side_blocks: Vec<u32> = vec![child_block[best]];
-        on_side[child_block[best] as usize] = true;
-        let mut walk = vec![child_block[best]];
-        while let Some(block) = walk.pop() {
-            for &(next, bridge) in &block_adj[block as usize] {
-                if bridge != best as u32 && !on_side[next as usize] {
-                    on_side[next as usize] = true;
-                    side_blocks.push(next);
-                    walk.push(next);
-                }
-            }
-        }
-        let side: Vec<u32> = region
-            .iter()
-            .copied()
-            .filter(|&node| on_side[block_of[node as usize] as usize])
-            .collect();
-
-        let ((la, lb), _, _) = bridges[best];
-        report.mincut_rounds += 1;
-        report.bridge_cache_hits += 1;
-        if scratch.remove_edge(la, lb) {
-            report.mincut_removed += 1;
-            removed.push(Edge::new(sub.locals[la as usize], sub.locals[lb as usize]));
-        }
-        let mut side_bridges: Vec<BlockBridge> = Vec::new();
-        let mut other_bridges: Vec<BlockBridge> = Vec::new();
-        for (i, &bridge) in bridges.iter().enumerate() {
-            if i == best {
-                continue;
-            }
-            if on_side[bridge.1 as usize] {
-                side_bridges.push(bridge);
-            } else {
-                other_bridges.push(bridge);
-            }
-        }
-        // Reset the reusable buffers before the region vectors move.
-        for &block in &touched {
-            counts[block as usize] = 0;
-            block_adj[block as usize].clear();
-            parent_bridge[block as usize] = u32::MAX;
-        }
-        for &block in &side_blocks {
-            on_side[block as usize] = false;
-        }
-        let other = complement_of(&region, &side);
-        for (part, part_bridges) in [(side, side_bridges), (other, other_bridges)] {
-            if part.len() > config.gamma {
-                queue.push((part, Some(part_bridges)));
-            } else if part.len() > config.mu {
-                phase2.push(part);
-            }
-        }
-    }
-    report.mincut_seconds = phase1_watch.elapsed_secs();
-
-    // Phase 2 is identical to the oracle's: betweenness removal on the
-    // scratch graph.
-    let phase2_watch = Stopwatch::start();
-    while let Some(region) = phase2.pop() {
-        if region.len() <= config.mu {
-            continue;
-        }
-        let rsub = Subgraph::induce(&scratch, &region);
-        let Some(((a, b), _)) = max_betweenness_edge(&rsub) else {
-            continue;
-        };
-        report.betweenness_rounds += 1;
-        let (sa, sb) = (rsub.locals[a as usize], rsub.locals[b as usize]);
-        if scratch.remove_edge(sa, sb) {
-            report.betweenness_removed += 1;
-            removed.push(Edge::new(sub.locals[sa as usize], sub.locals[sb as usize]));
-        }
-        let side = component_of(&scratch, sa);
-        if side.binary_search(&sb).is_ok() {
-            phase2.push(region);
-        } else {
-            let other = complement_of(&region, &side);
-            for part in [side, other] {
-                if part.len() > config.mu {
-                    phase2.push(part);
-                }
-            }
-        }
-    }
-    report.betweenness_seconds = phase2_watch.elapsed_secs();
-
-    ComponentOutcome { removed, report }
-}
-
-/// Run Algorithm 1 in place like [`graph_cleanup_with_pool`], consulting
-/// (and maintaining) a persistent [`CutIndex`] so steady-state churn pays
-/// O(affected region) instead of re-scanning every dirty component.
-///
-/// The caller owns the index across calls and must have fed every edge
-/// mutation of `graph` since the index was last rebuilt (the engine's
-/// merge path does); the removals this cleanup applies are fed back here,
-/// so afterwards the index mirrors the cleaned graph again. Components
-/// run sequentially (the index is a single mutable structure), in the
-/// same sorted order as the pooled path, producing a bit-identical
-/// removed-edge sequence and report counters — plus the
-/// `bridge_cache_hits` / `rescanned_nodes` diagnostics.
-pub fn graph_cleanup_with_index(
-    graph: &mut Graph,
-    config: &CleanupConfig,
-    index: &mut CutIndex,
-) -> CleanupReport {
-    let stopwatch = Stopwatch::start();
-    let mut report = CleanupReport::default();
-
-    let mut components: Vec<Vec<u32>> = connected_components(graph)
-        .into_iter()
-        .filter(|component| component.len() > config.mu.min(config.gamma))
-        .collect();
-    components.sort_unstable_by_key(|component| component[0]);
-
-    for component in &components {
-        let outcome = cleanup_component_indexed(graph, component, config, index);
-        for edge in &outcome.removed {
-            graph.remove_edge(edge.a, edge.b);
-            index.remove_edge(edge.a, edge.b);
-        }
-        report.merge(&outcome.report);
-    }
-    report.seconds = stopwatch.elapsed_secs();
-    report
 }
 
 /// Run Algorithm 1 in place, sequentially. Returns a report; the graph's
@@ -890,8 +791,6 @@ mod tests {
             pre_cleanup_seconds: 0.1,
             mincut_seconds: 0.2,
             betweenness_seconds: 0.2,
-            bridge_cache_hits: 6,
-            rescanned_nodes: 7,
         };
         let part = CleanupReport {
             pre_cleanup_removed: 10,
@@ -903,8 +802,6 @@ mod tests {
             pre_cleanup_seconds: 0.25,
             mincut_seconds: 0.5,
             betweenness_seconds: 0.25,
-            bridge_cache_hits: 60,
-            rescanned_nodes: 70,
         };
         total.merge(&part);
         assert_eq!(total.pre_cleanup_removed, 11);
@@ -916,8 +813,6 @@ mod tests {
         assert!((total.pre_cleanup_seconds - 0.35).abs() < 1e-12);
         assert!((total.mincut_seconds - 0.7).abs() < 1e-12);
         assert!((total.betweenness_seconds - 0.45).abs() < 1e-12);
-        assert_eq!(total.bridge_cache_hits, 66);
-        assert_eq!(total.rescanned_nodes, 77);
     }
 
     /// A miniature hub: `groups` cliques of `size` nodes, the first node of
@@ -1009,90 +904,237 @@ mod tests {
         edges
     }
 
-    /// Run the indexed and the plain cleanup on copies of `graph` and
-    /// assert the results are bit-for-bit identical; returns the indexed
-    /// report (carrying the cache diagnostics).
-    fn assert_indexed_matches(graph: &Graph, config: &CleanupConfig) -> CleanupReport {
-        let mut plain = graph.clone();
-        let plain_report = graph_cleanup(&mut plain, config);
-        let mut indexed = graph.clone();
-        let mut index = CutIndex::new();
-        index.rebuild_from(&indexed);
-        let indexed_report = graph_cleanup_with_index(&mut indexed, config, &mut index);
-        assert_eq!(sorted_edges(&plain), sorted_edges(&indexed));
-        assert_eq!(plain_report.mincut_removed, indexed_report.mincut_removed);
-        assert_eq!(plain_report.mincut_rounds, indexed_report.mincut_rounds);
+    /// Clean `graph` sequentially and on a 4-worker pool, assert both give
+    /// the same edge set and counters with every component ≤ μ, and return
+    /// the cleaned graph and sequential report. In debug builds every
+    /// block-tree round is also checked against a fresh Tarjan scan.
+    fn clean_checked(graph: &Graph, config: &CleanupConfig) -> (Graph, CleanupReport) {
+        let mut sequential = graph.clone();
+        let report = graph_cleanup(&mut sequential, config);
+        let mut pooled = graph.clone();
+        let pooled_report = graph_cleanup_with_pool(&mut pooled, config, &WorkerPool::new(4));
+        assert_eq!(sorted_edges(&sequential), sorted_edges(&pooled));
         assert_eq!(
-            plain_report.betweenness_removed,
-            indexed_report.betweenness_removed
+            (
+                report.mincut_removed,
+                report.mincut_rounds,
+                report.betweenness_removed,
+                report.betweenness_rounds,
+            ),
+            (
+                pooled_report.mincut_removed,
+                pooled_report.mincut_rounds,
+                pooled_report.betweenness_removed,
+                pooled_report.betweenness_rounds,
+            )
         );
+        assert!(largest_component(&sequential).map_or(0, |c| c.len()) <= config.mu);
+        (sequential, report)
+    }
+
+    /// Assert a split side's carried bridges are exactly what a fresh
+    /// scan of that side of `scratch` finds, with block annotations that
+    /// agree with the tree's labels and a block partition equal to the
+    /// scan's.
+    fn assert_carried_matches_scan(
+        scratch: &Graph,
+        region: &[u32],
+        carried: &[BlockBridge],
+        tree: &BlockTree,
+        context: &str,
+    ) {
+        let rsub = Subgraph::induce(scratch, region);
+        let scan = cut_structure(&rsub);
+        let to_local = |(a, b): (u32, u32)| (rsub.locals[a as usize], rsub.locals[b as usize]);
+        let scanned: Vec<(u32, u32)> = scan.bridges.iter().map(|&e| to_local(e)).collect();
+        let mut got: Vec<(u32, u32)> = carried.iter().map(|&(edge, _, _)| edge).collect();
+        got.sort_unstable();
+        assert_eq!(got, scanned, "{context}: carried bridges of {region:?}");
+        for &((a, b), x, y) in carried {
+            assert_eq!(
+                (tree.block_of[a as usize], tree.block_of[b as usize]),
+                (x, y),
+                "{context}: bridge ({a},{b}) annotated with stale blocks"
+            );
+        }
+        // Same partition, labels aside: one tree block per scan block.
+        let mut pairs: Vec<(u32, u32)> = region
+            .iter()
+            .enumerate()
+            .map(|(i, &node)| (tree.block_of[node as usize], scan.block_of[i]))
+            .collect();
+        pairs.sort_unstable();
+        pairs.dedup();
         assert_eq!(
-            plain_report.betweenness_rounds,
-            indexed_report.betweenness_rounds
+            pairs.len(),
+            scan.num_blocks as usize,
+            "{context}: block partition of {region:?}"
         );
-        indexed_report
+        let mut tree_blocks: Vec<u32> = pairs.iter().map(|&(block, _)| block).collect();
+        tree_blocks.dedup();
+        assert_eq!(tree_blocks.len(), pairs.len(), "{context}: merged blocks");
+    }
+
+    /// Split every region of `graph` (node ids 0..n, one component per
+    /// call) at its block tree's chosen bridge until no bridge is left,
+    /// checking both sides' carried structure after every round.
+    fn split_to_blocks(mut scratch: Graph, context: &str) -> usize {
+        let n = scratch.num_nodes();
+        let all: Vec<u32> = (0..n as u32).collect();
+        let sub = Subgraph::induce(&scratch, &all);
+        let mut tree = BlockTree::new(n);
+        let bridges = tree.scan(&sub, |i| i);
+        let mut rounds = 0;
+        let mut queue = vec![(all, bridges)];
+        while let Some((region, bridges)) = queue.pop() {
+            if bridges.is_empty() {
+                continue;
+            }
+            let round = tree.split(&region, bridges);
+            assert!(scratch.remove_edge(round.edge.0, round.edge.1));
+            rounds += 1;
+            let other = complement_of(&region, &round.side);
+            for (part, carried) in [
+                (round.side, round.side_bridges),
+                (other, round.other_bridges),
+            ] {
+                assert_carried_matches_scan(&scratch, &part, &carried, &tree, context);
+                queue.push((part, carried));
+            }
+        }
+        rounds
     }
 
     #[test]
-    fn indexed_cleanup_matches_plain_on_hub() {
-        // Every false edge is a bridge: the indexed path should answer all
-        // phase-1 rounds from the cached block tree without rescanning.
+    fn block_tree_split_carries_exact_side_structure() {
+        // Triangle – bridge – triangle – bridge – triangle – pendant: the
+        // first split leaves bridges on both sides, which must carry over
+        // verbatim, with no rescan.
+        let graph = Graph::from_edges([
+            (0, 1),
+            (1, 2),
+            (2, 0),
+            (2, 3),
+            (3, 4),
+            (4, 5),
+            (5, 3),
+            (5, 6),
+            (6, 7),
+            (7, 8),
+            (8, 6),
+            (8, 9),
+        ]);
+        assert_eq!(split_to_blocks(graph, "chain"), 3);
+    }
+
+    #[test]
+    fn block_tree_splits_match_scratch_on_random_graphs() {
+        // Sparse random graphs: plenty of bridges and some cycles. Split
+        // every component all the way down along its block tree.
+        for seed in [5u64, 29, 101] {
+            let mut rng = gralmatch_util::SplitRng::new(seed).split("block-tree");
+            let n = 40;
+            let mut graph = Graph::with_nodes(n);
+            for _ in 0..45 {
+                let a = rng.next_below(n) as u32;
+                let b = rng.next_below(n) as u32;
+                if a != b {
+                    graph.add_edge(a, b);
+                }
+            }
+            for component in connected_components(&graph) {
+                let sub = Subgraph::induce(&graph, &component);
+                let mut local = Graph::with_nodes(sub.num_nodes());
+                for &(a, b) in &sub.edges {
+                    local.add_edge(a, b);
+                }
+                let rounds = split_to_blocks(local, &format!("seed {seed}"));
+                assert_eq!(rounds, gralmatch_graph::find_bridges(&sub).len());
+            }
+        }
+    }
+
+    #[test]
+    fn block_tree_rounds_split_hub_at_bridges_only() {
+        // Every false edge is a bridge: one scan of the 49-node component
+        // answers all phase-1 rounds, and only hub edges are cut.
         let graph = hub_graph(12, 4);
-        let report = assert_indexed_matches(&graph, &CleanupConfig::new(5, 4));
-        assert!(report.bridge_cache_hits > 0);
-        assert_eq!(report.rescanned_nodes, 0, "freshly built index is warm");
+        let (cleaned, report) = clean_checked(&graph, &CleanupConfig::new(5, 4));
+        assert_eq!(report.mincut_rounds, 11);
+        assert_eq!(cleaned.num_edges(), graph.num_edges() - 12);
+        assert_eq!(graph.degree(0) - cleaned.degree(0), 12);
     }
 
     #[test]
-    fn indexed_cleanup_matches_plain_on_two_edge_connected() {
+    fn two_edge_connected_component_takes_min_cut() {
         // Two K4s joined by two parallel link edges: no bridge exists, so
-        // the indexed path must take the Stoer–Wagner fallback and still
-        // match the oracle exactly.
+        // the round is Stoer–Wagner's, cutting exactly the two links.
         let mut graph = two_cliques_bridged();
-        graph.add_edge(1, 5); // second link alongside (0, 4)
-        let report = assert_indexed_matches(&graph, &CleanupConfig::new(5, 4));
-        assert_eq!(report.bridge_cache_hits, 0, "no bridges to cache");
+        graph.add_edge(1, 5); // second link alongside (3, 4)
+        let (cleaned, report) = clean_checked(&graph, &CleanupConfig::new(5, 4));
+        assert_eq!(report.mincut_removed, 2);
+        assert!(!cleaned.has_edge(3, 4) && !cleaned.has_edge(1, 5));
+        assert_eq!(connected_components(&cleaned).len(), 2);
     }
 
     #[test]
-    fn indexed_cleanup_matches_plain_on_mixed_structure() {
-        // Hub of cliques with one pair of cliques double-linked: the first
-        // rounds run from the cache, the 2-edge-connected remnant falls
-        // back to min cut, and its descendants re-enter the oracle path.
+    fn regions_left_by_min_cut_are_rescanned() {
+        // A ring of six K4s, each linked to the next by one edge: the ring
+        // is 2-edge-connected, so the first round is Stoer–Wagner. Its cut
+        // opens the ring into a path of cliques whose links are now
+        // bridges, which the rescanned block tree answers.
+        let mut graph = Graph::new();
+        for k in 0..6u32 {
+            let base = k * 4;
+            for i in 0..4 {
+                for j in (i + 1)..4 {
+                    graph.add_edge(base + i, base + j);
+                }
+            }
+            graph.add_edge(base + 3, (base + 4) % 24);
+        }
+        let (cleaned, report) = clean_checked(&graph, &CleanupConfig::new(5, 4));
+        assert!(report.mincut_rounds >= 2);
+        assert_eq!(cleaned.num_edges(), 6 * 6, "exactly the ring links go");
+        assert_eq!(connected_components(&cleaned).len(), 6);
+    }
+
+    #[test]
+    fn hub_welded_to_two_edge_connected_pair_is_fully_split() {
+        // Hub of cliques with one pair of cliques double-linked: bridge
+        // rounds peel the plain cliques, the 2-edge-connected remnant
+        // (hub + welded pair) falls back to min cut, and what that cut
+        // leaves behind is scanned again.
         let mut graph = hub_graph(8, 4);
-        graph.add_edge(2, 6); // weld clique 0 to clique 1 (bridges stay elsewhere)
+        graph.add_edge(2, 6); // weld clique 0 to clique 1
         graph.add_edge(3, 7);
-        let report = assert_indexed_matches(&graph, &CleanupConfig::new(5, 4));
-        assert!(report.bridge_cache_hits > 0);
+        let (cleaned, _) = clean_checked(&graph, &CleanupConfig::new(5, 4));
+        assert_eq!(cleaned.degree(0), 0, "the hub keeps no edge");
+        assert!(!cleaned.has_edge(2, 6) && !cleaned.has_edge(3, 7));
+        assert_eq!(connected_components(&cleaned).len(), 9);
     }
 
     #[test]
-    fn indexed_cleanup_is_warm_across_churn_batches() {
+    fn cleanup_is_stateless_across_churn_batches() {
         // Steady-state churn: re-adding the cut bridges and cleaning again
-        // must reuse the maintained index with zero Tarjan rescans, while
-        // staying identical to a from-scratch cleanup of the same graph.
+        // must give what cleaning a fresh clone gives, with the same
+        // counters as the first batch — nothing carries over between calls.
         let config = CleanupConfig::new(5, 4);
         let mut graph = hub_graph(12, 4);
-        let mut index = CutIndex::new();
-        index.rebuild_from(&graph);
         let before = sorted_edges(&graph);
-        graph_cleanup_with_index(&mut graph, &config, &mut index);
+        let first = graph_cleanup(&mut graph, &config);
         for round in 0..3 {
-            // Re-add every edge the cleanup removed (the hub bridges).
             let cleaned = sorted_edges(&graph);
             for edge in &before {
                 if cleaned.binary_search(edge).is_err() {
                     graph.add_edge(edge.a, edge.b);
-                    index.insert_edge(edge.a, edge.b);
                 }
             }
-            let mut oracle = graph.clone();
-            let oracle_report = graph_cleanup(&mut oracle, &config);
-            let report = graph_cleanup_with_index(&mut graph, &config, &mut index);
-            assert_eq!(sorted_edges(&oracle), sorted_edges(&graph));
+            let (oracle, oracle_report) = clean_checked(&graph, &config);
+            let report = graph_cleanup(&mut graph, &config);
+            assert_eq!(sorted_edges(&oracle), sorted_edges(&graph), "round {round}");
             assert_eq!(report.mincut_removed, oracle_report.mincut_removed);
-            assert_eq!(report.rescanned_nodes, 0, "round {round} should be warm");
-            assert!(report.bridge_cache_hits > 0);
+            assert_eq!(report.mincut_removed, first.mincut_removed);
         }
     }
 }

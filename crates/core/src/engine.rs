@@ -49,7 +49,6 @@ use crate::pipeline::{MatchingOutcome, PipelineConfig};
 use crate::shard::ShardPlan;
 use crate::snapshot::GroupSnapshot;
 use gralmatch_blocking::Blocker;
-use gralmatch_graph::CutIndex;
 use gralmatch_lm::{
     CompiledDataset, CompiledMatcher, EncodedRecord, PairEncoder, PairScorer, ScoreScratch,
 };
@@ -398,13 +397,6 @@ pub struct MatchEngine<'a, R: Record + Clone + Sync> {
     /// Optional WAL + checkpoint hookup ([`MatchEngine::enable_durability`]).
     /// `None` keeps the engine purely in-memory — the historical behavior.
     durability: Option<Durability<R>>,
-    /// Persistent cut-structure cache over the standing cleaned graph.
-    /// Maintained across [`apply_batch`](MatchEngine::apply_batch) calls by
-    /// the merge's exact edge-delta feed, so steady-state churn re-cleans
-    /// in O(affected region); rebuilt wholesale on recovery and model swap
-    /// (the only paths where the cleaned graph changes hands outside the
-    /// delta feed).
-    cut_index: CutIndex,
 }
 
 impl<'a, R: Record + Clone + Sync> MatchEngine<'a, R> {
@@ -426,7 +418,6 @@ impl<'a, R: Record + Clone + Sync> MatchEngine<'a, R> {
             batches_applied: 0,
             total_apply_seconds: 0.0,
             durability: None,
-            cut_index: CutIndex::new(),
         }
     }
 
@@ -475,12 +466,6 @@ impl<'a, R: Record + Clone + Sync> MatchEngine<'a, R> {
     ) -> Self {
         provider.prime(state.live_records());
         let index = GroupIndex::rebuild(&state);
-        // A resumed cleaned graph arrives from outside the delta feed, so
-        // the cut index is rebuilt from it wholesale: an empty index would
-        // violate its "indexed node ⇒ all its edges represented" contract
-        // the moment a batch touched a standing component.
-        let mut cut_index = CutIndex::new();
-        cut_index.rebuild_from(state.cleaned());
         let mut engine = MatchEngine {
             state,
             strategies,
@@ -491,7 +476,6 @@ impl<'a, R: Record + Clone + Sync> MatchEngine<'a, R> {
             batches_applied,
             total_apply_seconds: 0.0,
             durability: None,
-            cut_index,
         };
         // Resumed engines serve a full snapshot of the persisted groups
         // from the persisted epoch (0 for JSON-resumed states).
@@ -545,12 +529,11 @@ impl<'a, R: Record + Clone + Sync> MatchEngine<'a, R> {
             durability.wal.append(seq, &payload)?;
         }
         self.provider.absorb(batch);
-        let mut outcome = self.state.apply_with_index(
+        let mut outcome = self.state.apply(
             batch,
             &self.strategies,
             self.provider.scorer(),
             &self.config,
-            Some(&mut self.cut_index),
         )?;
         let affected = self.index.apply(&self.state, &outcome.changed_nodes);
         self.batches_applied += 1;
@@ -811,10 +794,6 @@ impl<'a, R: Record + Clone + Sync> MatchEngine<'a, R> {
     pub fn replace_provider(&mut self, mut provider: Box<dyn ScorerProvider<R> + 'a>) {
         provider.prime(self.state.live_records());
         self.provider = provider;
-        // Model swaps mark an epoch boundary for every derived structure;
-        // the cut index is invalidated and rebuilt from the standing
-        // cleaned graph rather than trusted across the swap.
-        self.cut_index.rebuild_from(self.state.cleaned());
         let (next, buckets_rebuilt) = self.published.load().advance(
             &self.index,
             &[],

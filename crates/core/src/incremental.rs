@@ -47,7 +47,7 @@ use crate::trace::{stage_names, PipelineTrace, StageTrace};
 use gralmatch_blocking::{
     text_only_provenance, Blocker, BlockerRun, BlockingContext, CandidateSet,
 };
-use gralmatch_graph::{CutIndex, Graph};
+use gralmatch_graph::Graph;
 use gralmatch_lm::{predict_positive_with, PairScorer};
 use gralmatch_records::{Record, RecordId, RecordPair};
 use gralmatch_util::{Error, FromJson, FxHashMap, FxHashSet, Json, JsonError, Stopwatch, ToJson};
@@ -523,25 +523,6 @@ impl<R: Record + Clone + Sync> PipelineState<R> {
         scorer: &dyn PairScorer,
         config: &PipelineConfig,
     ) -> Result<UpsertOutcome, Error> {
-        self.apply_with_index(batch, strategies, scorer, config, None)
-    }
-
-    /// [`apply`](PipelineState::apply) with an optional persistent
-    /// [`CutIndex`] mirroring the standing cleaned graph. The merge feeds
-    /// the index this batch's exact edge delta and answers the re-clean's
-    /// bridge queries from the cached cut structure — identical groups,
-    /// O(affected region) instead of a per-component Tarjan rescan. The
-    /// caller (the engine) owns the index across batches and must rebuild
-    /// it whenever the cleaned graph changes outside `apply` (model swap,
-    /// recovery).
-    pub fn apply_with_index(
-        &mut self,
-        batch: &UpsertBatch<R>,
-        strategies: &[Box<dyn Blocker<R> + '_>],
-        scorer: &dyn PairScorer,
-        config: &PipelineConfig,
-        index: Option<&mut CutIndex>,
-    ) -> Result<UpsertOutcome, Error> {
         // -- 1. Validate + apply the record mutations. ---------------------
         self.validate(batch)?;
 
@@ -667,14 +648,13 @@ impl<R: Record + Clone + Sync> PipelineState<R> {
                 candidates_now.provenance(RecordPair::new(RecordId(a), RecordId(b))),
             )
         };
-        let merge = MergeStage::new(config).merge_with_index(
+        let merge = MergeStage::new(config).merge(
             self.num_ids,
             std::slice::from_ref(&self.cleaned),
             &persisting,
             &new_positives,
             &dirty_nodes,
             &is_removable,
-            index,
         );
 
         let mut predicted_now = persisting;

@@ -57,8 +57,8 @@ pub use calibration::{
     average_precision, best_f1_threshold, precision_recall_curve, threshold_for_precision, PrPoint,
 };
 pub use cleanup::{
-    graph_cleanup, graph_cleanup_with_index, graph_cleanup_with_pool, pre_cleanup,
-    pre_cleanup_edges, reference_graph_cleanup, CleanupConfig, CleanupReport, CleanupVariant,
+    graph_cleanup, graph_cleanup_with_pool, pre_cleanup, reference_graph_cleanup, CleanupConfig,
+    CleanupReport, CleanupVariant,
 };
 pub use consolidate::{consolidate_companies, consolidate_company_group, GoldenCompany};
 pub use diagnostics::{diagnose, GraphDiagnostics};

@@ -36,9 +36,7 @@
 //! the merge stage does the heavy lifting — the stress setting for
 //! incremental upserts, which will re-block single shards.
 
-use crate::cleanup::{
-    graph_cleanup_with_index, graph_cleanup_with_pool, pre_cleanup_edges, CleanupReport,
-};
+use crate::cleanup::{graph_cleanup_with_pool, pre_cleanup, CleanupReport};
 use crate::domain::MatchingDomain;
 use crate::groups::{entity_groups, prediction_graph};
 use crate::metrics::{group_metrics, pairwise_metrics};
@@ -48,7 +46,7 @@ use crate::trace::{stage_names, PipelineTrace, StageTrace};
 use gralmatch_blocking::{
     run_blocker_refs_traced, text_only_provenance, BlockerRun, BlockingContext, CandidateSet,
 };
-use gralmatch_graph::{CutIndex, Edge, Graph, UnionFind};
+use gralmatch_graph::{Graph, UnionFind};
 use gralmatch_lm::{predict_positive_with, PairScorer};
 use gralmatch_records::{Record, RecordId, RecordPair};
 use gralmatch_util::{current_rss_bytes, Error, FxHashSet, Stopwatch};
@@ -188,44 +186,6 @@ impl<'a> MergeStage<'a> {
         dirty_nodes: &FxHashSet<u32>,
         is_removable: &dyn Fn(u32, u32) -> bool,
     ) -> MergeResult {
-        self.merge_with_index(
-            num_records,
-            shard_graphs,
-            shard_predicted,
-            boundary_predicted,
-            dirty_nodes,
-            is_removable,
-            None,
-        )
-    }
-
-    /// [`merge`](MergeStage::merge) with an optional persistent
-    /// [`CutIndex`] mirroring the **previous cleaned graph** (the engine's
-    /// steady-state path, where `shard_graphs` is exactly that one graph).
-    ///
-    /// When an index is passed, the merge feeds it the exact edge delta
-    /// between the previous cleaned graph and the rebuilt merged graph —
-    /// the cleaned edges dropped from touched components and not restored
-    /// by the raw re-add, the raw/boundary edges newly introduced, and the
-    /// pre-cleanup removals — then runs the cleanup through
-    /// [`graph_cleanup_with_index`], whose own removals keep the index in
-    /// sync. Cost of the delta feed is O(touched region + boundary), so a
-    /// steady churn batch never re-scans the untouched graph.
-    #[allow(clippy::too_many_arguments)]
-    pub fn merge_with_index(
-        &self,
-        num_records: usize,
-        shard_graphs: &[Graph],
-        shard_predicted: &[RecordPair],
-        boundary_predicted: &[RecordPair],
-        dirty_nodes: &FxHashSet<u32>,
-        is_removable: &dyn Fn(u32, u32) -> bool,
-        mut index: Option<&mut CutIndex>,
-    ) -> MergeResult {
-        debug_assert!(
-            index.is_none() || shard_graphs.len() == 1,
-            "a CutIndex mirrors one standing cleaned graph"
-        );
         // Components of the raw merged prediction graph.
         let mut components = UnionFind::new(num_records);
         for pair in shard_predicted {
@@ -255,51 +215,26 @@ impl<'a> MergeStage<'a> {
         // current components, and a standing cleaned edge between them must
         // not survive either side's rebuild.
         let mut merged = Graph::with_nodes(num_records);
-        let mut dropped: Vec<Edge> = Vec::new();
-        let mut introduced: Vec<(u32, u32)> = Vec::new();
         for graph in shard_graphs {
             for edge in graph.edges() {
                 if !touched.contains(&components.find(edge.a))
                     && !touched.contains(&components.find(edge.b))
                 {
                     merged.add_edge(edge.a, edge.b);
-                } else if index.is_some() {
-                    dropped.push(edge);
                 }
             }
         }
         for pair in shard_predicted {
             if touched.contains(&components.find(pair.a.0)) {
-                if merged.add_edge(pair.a.0, pair.b.0) && index.is_some() {
-                    introduced.push((pair.a.0, pair.b.0));
-                }
+                merged.add_edge(pair.a.0, pair.b.0);
                 touched_nodes.insert(pair.a.0);
                 touched_nodes.insert(pair.b.0);
             }
         }
         for pair in boundary_predicted {
-            if merged.add_edge(pair.a.0, pair.b.0) && index.is_some() {
-                introduced.push((pair.a.0, pair.b.0));
-            }
+            merged.add_edge(pair.a.0, pair.b.0);
             touched_nodes.insert(pair.a.0);
             touched_nodes.insert(pair.b.0);
-        }
-        if let Some(index) = index.as_deref_mut() {
-            // Feed the exact delta vs the previous cleaned graph: a dropped
-            // cleaned edge may have been restored by the raw re-add (then
-            // nothing changed), and an introduced raw edge may have already
-            // been standing.
-            let previous = &shard_graphs[0];
-            for edge in &dropped {
-                if !merged.has_edge(edge.a, edge.b) {
-                    index.remove_edge(edge.a, edge.b);
-                }
-            }
-            for &(a, b) in &introduced {
-                if !previous.has_edge(a, b) {
-                    index.insert_edge(a, b);
-                }
-            }
         }
 
         // Re-clean: only the rebuilt (touched) components exceed the
@@ -309,32 +244,15 @@ impl<'a> MergeStage<'a> {
         let mut cleanup = CleanupReport::default();
         if let Some(threshold) = self.config.cleanup.pre_cleanup_threshold {
             let pre_watch = Stopwatch::start();
-            let removed = pre_cleanup_edges(&mut merged, threshold, is_removable);
-            if let Some(index) = index.as_deref_mut() {
-                for edge in &removed {
-                    index.remove_edge(edge.a, edge.b);
-                }
-            }
-            cleanup.pre_cleanup_removed = removed.len();
+            cleanup.pre_cleanup_removed = pre_cleanup(&mut merged, threshold, is_removable);
             cleanup.pre_cleanup_seconds = pre_watch.elapsed_secs();
         }
-        match index {
-            Some(index) => {
-                cleanup.merge(&graph_cleanup_with_index(
-                    &mut merged,
-                    &self.config.cleanup,
-                    index,
-                ));
-            }
-            None => {
-                let pool = self.config.parallelism.pool_for(merged.num_edges());
-                cleanup.merge(&graph_cleanup_with_pool(
-                    &mut merged,
-                    &self.config.cleanup,
-                    &pool,
-                ));
-            }
-        }
+        let pool = self.config.parallelism.pool_for(merged.num_edges());
+        cleanup.merge(&graph_cleanup_with_pool(
+            &mut merged,
+            &self.config.cleanup,
+            &pool,
+        ));
         let mut touched_nodes: Vec<u32> = touched_nodes.into_iter().collect();
         touched_nodes.sort_unstable();
         MergeResult {

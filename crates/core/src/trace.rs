@@ -36,13 +36,6 @@ pub struct CleanupPhases {
     pub mincut_seconds: f64,
     /// Seconds in the betweenness-removal phase.
     pub betweenness_seconds: f64,
-    /// Min-cut rounds answered from the persistent
-    /// [`CutIndex`](gralmatch_graph::CutIndex) without a Tarjan scan
-    /// (0 on the non-indexed path).
-    pub bridge_cache_hits: usize,
-    /// Nodes the `CutIndex` had to Tarjan-rescan (dirty blocks + cold
-    /// regions; 0 on the non-indexed path).
-    pub rescanned_nodes: usize,
 }
 
 impl CleanupPhases {
@@ -52,8 +45,6 @@ impl CleanupPhases {
             pre_cleanup_seconds: self.pre_cleanup_seconds + other.pre_cleanup_seconds,
             mincut_seconds: self.mincut_seconds + other.mincut_seconds,
             betweenness_seconds: self.betweenness_seconds + other.betweenness_seconds,
-            bridge_cache_hits: self.bridge_cache_hits + other.bridge_cache_hits,
-            rescanned_nodes: self.rescanned_nodes + other.rescanned_nodes,
         }
     }
 }
@@ -225,8 +216,6 @@ mod tests {
                 pre_cleanup_seconds: 0.1,
                 mincut_seconds: 0.3,
                 betweenness_seconds: 0.2,
-                bridge_cache_hits: 5,
-                rescanned_nodes: 7,
             }),
         });
         trace
@@ -277,8 +266,6 @@ mod tests {
         assert!((phases.pre_cleanup_seconds - 0.2).abs() < 1e-12);
         assert!((phases.mincut_seconds - 0.6).abs() < 1e-12);
         assert!((phases.betweenness_seconds - 0.4).abs() < 1e-12);
-        assert_eq!(phases.bridge_cache_hits, 10);
-        assert_eq!(phases.rescanned_nodes, 14);
         // Arena sizes roll up as a max (shards share one compiled view).
         assert_eq!(inference.arena_bytes, Some(1 << 16));
         // Order is first-appearance: blocking before inference.

@@ -171,8 +171,9 @@ fn bridges_with_subtree_sizes(sub: &Subgraph) -> Vec<((u32, u32), u32, u32)> {
 /// removed; the block graph (blocks as nodes, bridges as edges) is a
 /// forest, and a tree per connected region. Block ids are dense `0..`,
 /// assigned in ascending local-node order, so the labeling is a pure
-/// function of the subgraph — [`CutIndex`](crate::dynamic::CutIndex)
-/// rescans rely on that determinism.
+/// function of the subgraph. The graph cleanup scans each oversized
+/// component once and answers its bridge-splitting rounds from this block
+/// tree instead of re-running Tarjan per round.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CutStructure {
     /// Bridges as local edge pairs (canonical `a < b`), sorted.

@@ -21,7 +21,6 @@ pub mod articulation;
 pub mod betweenness;
 pub mod bridges;
 pub mod components;
-pub mod dynamic;
 pub mod graph;
 pub mod kcore;
 pub mod maxflow;
@@ -32,7 +31,6 @@ pub use articulation::articulation_points;
 pub use betweenness::edge_betweenness;
 pub use bridges::{cut_structure, find_bridges, most_balanced_bridge, BridgeSplit, CutStructure};
 pub use components::{component_of, connected_components, largest_component, Subgraph};
-pub use dynamic::{CutIndex, CutIndexStats, RegionStructure};
 pub use graph::{Edge, Graph, NodeId};
 pub use kcore::{core_numbers, degeneracy};
 pub use maxflow::{min_st_cut, Dinic};

@@ -1,37 +1,36 @@
-//! Property tests for the persistent cut-structure index
-//! ([`CutIndex`]) under edge churn.
+//! Churn tests for Algorithm 1's one-scan block-tree cleanup.
 //!
-//! The index is a cache of Tarjan-derived structure (bridges +
-//! 2-edge-connected blocks) maintained across insert/remove deltas; its
-//! contract is that a [`structure_for`](CutIndex::structure_for) query
-//! after *any* fed delta sequence equals a from-scratch
-//! [`cut_structure`] computation, and that a cleanup driven by it
-//! ([`graph_cleanup_with_index`]) is bit-for-bit the plain
-//! [`graph_cleanup`]. Three layers:
+//! Each cleanup scans every dirty component's cut structure once and
+//! answers its bridge rounds from the block tree; nothing persists between
+//! calls. Debug builds check every block-tree round against a fresh
+//! Tarjan scan of the same region, so these workloads are built to drive
+//! many such rounds:
 //!
-//! * raw index vs scratch Tarjan on seeded random insert/remove
-//!   sequences (bridges, block partition, block annotations);
-//! * indexed cleanup vs plain cleanup across churn rounds on random
-//!   clique-plus-noise graphs (edge sets and phase counters);
-//! * the incremental engine replaying *interior* record churn — updates
+//! * churn rounds on random clique-plus-noise graphs: after every round
+//!   all components are ≤ μ and the live graph's cleanup matches a
+//!   pooled cleanup of a fresh clone (edge sets and phase counters);
+//! * the incremental pipeline replaying *interior* record churn — updates
 //!   whose degraded names retract clique edges so bridges are created by
-//!   deletion — with a warm index, against a one-shot sharded oracle.
+//!   deletion — against a one-shot sharded oracle;
+//! * the engine replaying the same churn with its cleanup fanned out over
+//!   one worker and over four, batch by batch.
 //!
 //! The offline build has no `proptest`; cases are deterministic seeded
 //! instances with the seed in every assertion message.
 
 use gralmatch::core::{
-    graph_cleanup, graph_cleanup_with_index, run_sharded, CleanupConfig, CompanyDomain,
-    MatchingDomain, PipelineConfig, PipelineState, ShardPlan, UpsertBatch,
+    graph_cleanup, graph_cleanup_with_pool, run_sharded, CleanupConfig, CleanupReport,
+    CompanyDomain, CompiledScorerProvider, MatchEngine, MatchingDomain, PipelineConfig,
+    PipelineState, ShardPlan, UpsertBatch,
 };
 use gralmatch::datagen::{hub_companies, hub_interior_churn_updates, HubConfig};
-use gralmatch::graph::{connected_components, cut_structure, CutIndex, Edge, Graph, Subgraph};
+use gralmatch::graph::{largest_component, Edge, Graph};
 use gralmatch::lm::{
     encode_dataset, CompiledDataset, CompiledScorer, HeuristicMatcher, PairwiseMatcher,
     PlainEncoder,
 };
-use gralmatch::records::RecordId;
-use gralmatch::util::{Parallelism, SplitRng};
+use gralmatch::records::{CompanyRecord, RecordId};
+use gralmatch::util::{Parallelism, SplitRng, WorkerPool};
 
 fn sorted_edges(graph: &Graph) -> Vec<Edge> {
     let mut edges: Vec<Edge> = graph.edges().collect();
@@ -39,125 +38,37 @@ fn sorted_edges(graph: &Graph) -> Vec<Edge> {
     edges
 }
 
-/// Relabel a block assignment to first-occurrence order so two labelings
-/// of the same partition compare equal.
-fn canonical_blocks(block_of: &[u32]) -> Vec<u32> {
-    let mut relabel: Vec<u32> = Vec::new();
-    let mut map = gralmatch::util::FxHashMap::default();
-    for &block in block_of {
-        let next = map.len() as u32;
-        relabel.push(*map.entry(block).or_insert(next));
-    }
-    relabel
+/// The report's removal and round counters, for exact comparison.
+fn counters(report: &CleanupReport) -> [usize; 5] {
+    [
+        report.pre_cleanup_removed,
+        report.mincut_removed,
+        report.betweenness_removed,
+        report.mincut_rounds,
+        report.betweenness_rounds,
+    ]
 }
 
-/// Assert the index's view of every component equals a scratch
-/// [`cut_structure`] pass: same bridge set, same block partition, and
-/// bridge block annotations consistent with the labeling.
-fn assert_index_matches_scratch(index: &mut CutIndex, graph: &Graph, context: &str) {
-    for component in connected_components(graph) {
-        if component.len() < 2 {
-            continue;
-        }
-        let sub = Subgraph::induce(graph, &component);
-        let structure = index.structure_for(&sub, &component);
-        let oracle = cut_structure(&sub);
-        let mut bridges: Vec<(u32, u32)> = structure.bridges.iter().map(|&(e, _, _)| e).collect();
-        bridges.sort_unstable();
-        assert_eq!(bridges, oracle.bridges, "{context}: bridge set diverged");
-        assert_eq!(
-            structure.num_blocks, oracle.num_blocks,
-            "{context}: block count diverged"
-        );
-        assert_eq!(
-            canonical_blocks(&structure.block_of),
-            canonical_blocks(&oracle.block_of),
-            "{context}: block partition diverged"
-        );
-        for &((a, b), block_a, block_b) in &structure.bridges {
-            assert_eq!(
-                (
-                    structure.block_of[a as usize],
-                    structure.block_of[b as usize]
-                ),
-                (block_a, block_b),
-                "{context}: bridge ({a},{b}) annotated with wrong blocks"
-            );
-        }
-    }
-}
-
-/// Apply one random insert-or-remove to `graph`, feeding the index and
-/// keeping `edges` in sync. Returns a description of the op.
-fn random_op(
-    rng: &mut SplitRng,
-    n: usize,
-    graph: &mut Graph,
-    index: &mut CutIndex,
-    edges: &mut Vec<Edge>,
-) -> String {
+/// Apply one random insert-or-remove to `graph`, keeping `edges` in sync.
+fn random_op(rng: &mut SplitRng, n: usize, graph: &mut Graph, edges: &mut Vec<Edge>) {
     if rng.next_below(2) == 0 || edges.is_empty() {
         let a = rng.next_below(n) as u32;
         let b = rng.next_below(n) as u32;
         if a != b && graph.add_edge(a, b) {
-            index.insert_edge(a, b);
             edges.push(Edge::new(a, b));
-            return format!("insert ({a},{b})");
         }
-        "noop".to_string()
     } else {
         let edge = edges.swap_remove(rng.next_below(edges.len()));
         graph.remove_edge(edge.a, edge.b);
-        index.remove_edge(edge.a, edge.b);
-        format!("remove ({},{})", edge.a, edge.b)
     }
 }
 
 #[test]
-fn cut_index_matches_scratch_under_random_churn() {
-    for seed in [5u64, 29, 101] {
-        let mut rng = SplitRng::new(seed).split("dynamic-bridges");
-        let n = 40usize;
-        let mut graph = Graph::with_nodes(n);
-        // Sparse bootstrap: plenty of bridges, some cycles.
-        for _ in 0..45 {
-            let a = rng.next_below(n) as u32;
-            let b = rng.next_below(n) as u32;
-            if a != b {
-                graph.add_edge(a, b);
-            }
-        }
-        let mut index = CutIndex::new();
-        index.rebuild_from(&graph);
-        assert_index_matches_scratch(&mut index, &graph, &format!("seed {seed} bootstrap"));
-
-        let mut edges = sorted_edges(&graph);
-        let mut history = Vec::new();
-        for step in 0..150 {
-            history.push(random_op(&mut rng, n, &mut graph, &mut index, &mut edges));
-            // Query every few ops so cached structure is repeatedly
-            // reused and re-validated mid-sequence, and after every op
-            // near the end where state is most churned.
-            if step % 5 == 4 || step > 120 {
-                assert_index_matches_scratch(
-                    &mut index,
-                    &graph,
-                    &format!("seed {seed} step {step} (last ops: {:?})", {
-                        let from = history.len().saturating_sub(5);
-                        &history[from..]
-                    }),
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn indexed_cleanup_matches_plain_under_random_churn() {
+fn cleanup_under_random_churn_matches_a_fresh_clone() {
     // Clique backbones plus random noise, cleaned and churned repeatedly:
-    // every round the indexed cleanup of the live graph must be
-    // bit-for-bit the plain cleanup of a fresh clone, with equal phase
-    // counters — across deltas that both close cycles and cut bridges.
+    // every round the cleanup of the live graph must bound all components
+    // by μ and match a pooled cleanup of a fresh clone bit for bit —
+    // across deltas that both close cycles and cut bridges.
     for seed in [7u64, 43, 97] {
         let mut rng = SplitRng::new(seed).split("dynamic-cleanup");
         let num_cliques = 12;
@@ -179,35 +90,27 @@ fn indexed_cleanup_matches_plain_under_random_churn() {
             }
         }
         let config = CleanupConfig::new(8, 5);
-        let mut index = CutIndex::new();
-        index.rebuild_from(&graph);
         for round in 0..4 {
-            let mut oracle = graph.clone();
-            let oracle_report = graph_cleanup(&mut oracle, &config);
-            let report = graph_cleanup_with_index(&mut graph, &config, &mut index);
-            assert_eq!(
-                sorted_edges(&graph),
-                sorted_edges(&oracle),
-                "seed {seed} round {round}: indexed cleanup removed a different edge set"
+            let mut clone = graph.clone();
+            let clone_report = graph_cleanup_with_pool(&mut clone, &config, &WorkerPool::new(4));
+            let report = graph_cleanup(&mut graph, &config);
+            assert!(
+                largest_component(&graph).map_or(0, |c| c.len()) <= config.mu,
+                "seed {seed} round {round}: a component stayed above μ"
             );
             assert_eq!(
-                (
-                    report.mincut_removed,
-                    report.betweenness_removed,
-                    report.mincut_rounds,
-                    report.betweenness_rounds,
-                ),
-                (
-                    oracle_report.mincut_removed,
-                    oracle_report.betweenness_removed,
-                    oracle_report.mincut_rounds,
-                    oracle_report.betweenness_rounds,
-                ),
-                "seed {seed} round {round}: indexed cleanup counters diverged"
+                sorted_edges(&graph),
+                sorted_edges(&clone),
+                "seed {seed} round {round}: live and fresh-clone cleanups removed different edges"
+            );
+            assert_eq!(
+                counters(&report),
+                counters(&clone_report),
+                "seed {seed} round {round}: live and fresh-clone counters diverged"
             );
             let mut edges = sorted_edges(&graph);
             for _ in 0..25 {
-                random_op(&mut rng, n, &mut graph, &mut index, &mut edges);
+                random_op(&mut rng, n, &mut graph, &mut edges);
             }
         }
     }
@@ -228,16 +131,15 @@ fn normalize(groups: &[Vec<RecordId>]) -> Vec<Vec<RecordId>> {
 }
 
 #[test]
-fn interior_churn_replay_with_index_matches_one_shot_groups() {
+fn interior_churn_replay_matches_one_shot_groups() {
     // The delete-driven side of the hub workload through the real
     // pipeline: interior churn updates degrade two members' names per
     // rotated group so the group's clique collapses to a star around its
     // representative — clique edges are *retracted* and the surviving
     // rep edges become bridges created by deletion — then restore them a
-    // batch later. The replay drives `apply_with_index` with a warm
-    // CutIndex (the engine's configuration), so every delta flows through
-    // insert_edge/remove_edge maintenance; the final groups must equal a
-    // one-shot sharded run over the final records.
+    // batch later. Every re-clean scans its dirty components afresh; the
+    // final groups must equal a one-shot sharded run over the final
+    // records.
     let config = HubConfig {
         hubs: 2,
         groups_per_hub: 12,
@@ -263,7 +165,7 @@ fn interior_churn_replay_with_index_matches_one_shot_groups() {
     };
     // Names change across batches (that is the point), so each state is
     // scored through a freshly compiled encoding of the current records.
-    let scorer_for = |records: &[gralmatch::records::CompanyRecord]| {
+    let scorer_for = |records: &[CompanyRecord]| {
         let encoded = encode_dataset(records, &encoder);
         CompiledDataset::compile(&encoded, &matcher.feature_config())
     };
@@ -281,8 +183,6 @@ fn interior_churn_replay_with_index_matches_one_shot_groups() {
         &pipeline_config,
     )
     .unwrap();
-    let mut index = CutIndex::new();
-    index.rebuild_from(state.cleaned());
 
     let mut final_records = companies.clone();
     for batch in 0..config.churn_batches {
@@ -292,7 +192,7 @@ fn interior_churn_replay_with_index_matches_one_shot_groups() {
         }
         let compiled = scorer_for(&final_records);
         state
-            .apply_with_index(
+            .apply(
                 &UpsertBatch {
                     inserts: Vec::new(),
                     updates,
@@ -301,15 +201,13 @@ fn interior_churn_replay_with_index_matches_one_shot_groups() {
                 &strategies,
                 &CompiledScorer::new(&matcher, &compiled),
                 &pipeline_config,
-                Some(&mut index),
             )
             .unwrap_or_else(|e| panic!("interior churn batch {batch}: {e:?}"));
     }
 
     // Final batch: restore every still-degraded record, so the end state
-    // is the bootstrap population again (and the restores themselves run
-    // through the index's insert-edge maintenance one more time).
-    let restore: Vec<gralmatch::records::CompanyRecord> = final_records
+    // is the bootstrap population again.
+    let restore: Vec<CompanyRecord> = final_records
         .iter()
         .zip(&companies)
         .filter(|(current, original)| current.name != original.name)
@@ -321,7 +219,7 @@ fn interior_churn_replay_with_index_matches_one_shot_groups() {
     }
     let compiled = scorer_for(&final_records);
     let outcome = state
-        .apply_with_index(
+        .apply(
             &UpsertBatch {
                 inserts: Vec::new(),
                 updates: restore,
@@ -330,7 +228,6 @@ fn interior_churn_replay_with_index_matches_one_shot_groups() {
             &strategies,
             &CompiledScorer::new(&matcher, &compiled),
             &pipeline_config,
-            Some(&mut index),
         )
         .unwrap_or_else(|e| panic!("restore batch: {e:?}"));
     let last_groups = outcome.groups;
@@ -372,4 +269,84 @@ fn interior_churn_replay_with_index_matches_one_shot_groups() {
             "group mixes entities: {group:?}"
         );
     }
+}
+
+/// Replay interior churn (degrade, then restore, every rotated group)
+/// through a [`MatchEngine`] whose cleanup runs under `parallelism`;
+/// returns each batch's groups and cleanup counters, bootstrap first.
+fn engine_churn_replay(parallelism: Parallelism) -> Vec<(Vec<Vec<RecordId>>, [usize; 5])> {
+    let config = HubConfig {
+        hubs: 3,
+        groups_per_hub: 8,
+        group_size: 4,
+        churn_batches: 5,
+        churn_rewires: 3,
+    };
+    let companies = hub_companies(&config);
+    let no_securities = [];
+    let domain = CompanyDomain::new(&companies, &no_securities).with_token_config(
+        gralmatch::blocking::TokenOverlapConfig {
+            top_n: 50,
+            max_token_df: 600,
+            min_overlap: 2,
+        },
+    );
+    let provider = CompiledScorerProvider::new(
+        HeuristicMatcher {
+            jaccard_threshold: 0.45,
+        },
+        PlainEncoder::new(128),
+    );
+    let mut pipeline_config = PipelineConfig::new(config.group_size + 1, config.group_size);
+    pipeline_config.parallelism = parallelism;
+    let (mut engine, load) = MatchEngine::bootstrap(
+        ShardPlan::new(2),
+        companies.clone(),
+        domain.blocking_strategies(),
+        Box::new(provider),
+        pipeline_config,
+    )
+    .unwrap();
+    let mut batches = vec![(normalize(&load.groups), counters(&load.cleanup))];
+    for batch in 0..=config.churn_batches {
+        // The last batch restores the previous rotation without degrading
+        // a new one, so the replay ends on the bootstrap population.
+        let updates: Vec<CompanyRecord> = if batch < config.churn_batches {
+            hub_interior_churn_updates(&config, batch)
+        } else {
+            hub_interior_churn_updates(&config, batch)
+                .into_iter()
+                .filter(|update| update.name == companies[update.id.0 as usize].name)
+                .collect()
+        };
+        let outcome = engine
+            .apply_batch(&UpsertBatch {
+                inserts: Vec::new(),
+                updates,
+                deletes: Vec::new(),
+            })
+            .unwrap_or_else(|e| panic!("{parallelism:?} batch {batch}: {e:?}"));
+        batches.push((normalize(&engine.groups()), counters(&outcome.cleanup)));
+    }
+    batches
+}
+
+#[test]
+fn engine_cleanup_fan_out_matches_sequential_under_churn() {
+    // Dirty components are cleaned independently, so fanning them out
+    // over a pool must not change a single decision: each batch's groups
+    // and cleanup counters are identical under one worker and four.
+    let sequential = engine_churn_replay(Parallelism::Fixed(1));
+    let pooled = engine_churn_replay(Parallelism::Fixed(4));
+    assert_eq!(sequential.len(), pooled.len());
+    for (batch, (seq, par)) in sequential.iter().zip(&pooled).enumerate() {
+        assert_eq!(seq.0, par.0, "batch {batch}: groups diverged");
+        assert_eq!(seq.1, par.1, "batch {batch}: cleanup counters diverged");
+    }
+    // The churn made the cleanup work in every batch, and the replay
+    // ended where it began.
+    assert!(sequential
+        .iter()
+        .all(|(_, counts)| counts[1] + counts[2] > 0));
+    assert_eq!(sequential[0].0, sequential.last().unwrap().0);
 }
