@@ -1,7 +1,7 @@
 //! Incremental-upsert replay benchmark: loads a synthetic dataset as
 //! initial load + K delta batches through one long-lived `MatchEngine`
-//! and reports per-batch reconciliation latency next to the one-shot
-//! wall-clock of the legacy sharded oracle.
+//! and reports per-batch reconciliation latency next to the wall-clock of
+//! a from-scratch reference run.
 //!
 //! Usage:
 //! `cargo run -p gralmatch-bench --bin upsert --release -- [--shards N] [--batches K] [out.json]`

@@ -15,7 +15,7 @@
 use crate::cli::BenchCli;
 use gralmatch_blocking::TokenOverlapConfig;
 use gralmatch_core::{
-    blocked_candidates, entity_groups, group_assignment, prediction_graph, run_sharded,
+    blocked_candidates, entity_groups, group_assignment, prediction_graph, reference,
     CleanupVariant, CompanyDomain, EngineStats, FixedScorerProvider, MatchEngine, MatchingDomain,
     MatchingOutcome, PipelineConfig, ProductDomain, ScorerProvider, SecurityDomain, ShardPlan,
     UpsertBatch, UpsertOutcome,
@@ -216,19 +216,19 @@ pub struct ReplayBatch {
 }
 
 /// Result of [`run_upsert_replay`]: per-batch latency plus the end-state
-/// comparison against a one-shot run of the legacy sharded oracle.
+/// comparison against a from-scratch reference run.
 pub struct UpsertReplay {
     /// Initial load followed by the delta batches.
     pub batches: Vec<ReplayBatch>,
     /// Final group count.
     pub num_groups: usize,
-    /// Whether the engine's final groups equal a one-shot
-    /// [`run_sharded`] (the legacy staged oracle) over the full
-    /// population (they must for deterministic scorers; reported rather
-    /// than asserted so the bench binary stays a measurement tool).
+    /// Whether the engine's final groups equal a from-scratch
+    /// [`reference::run`] over the full population (they must for
+    /// deterministic scorers; reported rather than asserted so the bench
+    /// binary stays a measurement tool).
     pub matches_one_shot: bool,
-    /// Wall-clock seconds of the one-shot oracle run, for the speedup
-    /// column.
+    /// Wall-clock seconds of the from-scratch reference run, for the
+    /// speedup column.
     pub one_shot_seconds: f64,
     /// Engine counters after the last batch.
     pub final_stats: EngineStats,
@@ -237,8 +237,7 @@ pub struct UpsertReplay {
 /// Replay a domain's records as an initial load (the first
 /// `1 - delta_fraction` of the records) plus `num_batches` delta batches,
 /// measuring per-batch reconciliation latency, then compare the end state
-/// against a one-shot run of the legacy sharded oracle over the full
-/// population.
+/// against a from-scratch reference run over the full population.
 pub fn run_upsert_replay<D>(
     domain: &D,
     scorer: &dyn gralmatch_lm::PairScorer,
@@ -317,13 +316,13 @@ where
     }
     let final_stats = engine.stats();
 
-    // The comparison run goes through the *legacy staged oracle* with an
+    // The comparison run goes through the reference pipeline with an
     // independently built scorer view (`verify_scorer`), so the check
     // cross-checks both the engine's reconciliation and any incremental
     // scorer maintenance.
     let one_shot_watch = gralmatch_util::Stopwatch::start();
     let scorer = engine.provider_mut().verify_scorer();
-    let one_shot = run_sharded(domain, scorer, config, &plan).expect("one-shot run succeeds");
+    let one_shot = reference::run(domain, scorer, config, &plan);
     let one_shot_seconds = one_shot_watch.elapsed_secs();
     let normalize = |groups: &[Vec<RecordId>]| {
         let mut out: Vec<Vec<RecordId>> = groups
@@ -339,7 +338,7 @@ where
     };
     UpsertReplay {
         num_groups: groups.len(),
-        matches_one_shot: normalize(&groups) == normalize(&one_shot.outcome.groups),
+        matches_one_shot: normalize(&groups) == normalize(&one_shot.groups),
         one_shot_seconds,
         batches,
         final_stats,

@@ -38,7 +38,7 @@ use crate::serve::{
 };
 use gralmatch_core::GroupSnapshot;
 use gralmatch_util::{PublishedReader, WorkerPool};
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
@@ -307,6 +307,14 @@ pub struct ServeReport {
     pub requests: u64,
 }
 
+/// Longest request line a connection may send, newline excluded. A
+/// client that streams more without a newline gets a `line-too-long`
+/// error and is disconnected, so one connection's buffer cannot grow
+/// without bound. Sized well above the largest inline batch the repo's
+/// tools produce: a `serve bootstrap` delta file at the default scale is
+/// ~1.3 MB of compact JSON.
+pub const MAX_LINE_BYTES: usize = 16 << 20;
+
 /// Poll interval of the accept loop, the per-connection read timeout, and
 /// the drain's wakeup backstop — the latency bound on noticing a
 /// `shutdown`.
@@ -429,7 +437,8 @@ fn serve_connection(
     // Readers must notice a shutdown triggered on another connection, so
     // reads time out and re-check the stop flag instead of blocking
     // indefinitely on an idle client. Partial lines survive timeouts in
-    // `pending` (`read_until` keeps bytes read before an error).
+    // `pending` (`read_until` keeps bytes read before an error); each
+    // read may fill it to one byte past `MAX_LINE_BYTES`, no further.
     stream.set_nonblocking(false)?;
     stream.set_read_timeout(Some(POLL_INTERVAL))?;
     let mut writer = stream.try_clone()?;
@@ -440,7 +449,8 @@ fn serve_connection(
         if stop.load(Ordering::Acquire) {
             return Ok(());
         }
-        let at_eof = match reader.read_until(b'\n', &mut pending) {
+        let budget = (MAX_LINE_BYTES + 1 - pending.len()) as u64;
+        let at_eof = match reader.by_ref().take(budget).read_until(b'\n', &mut pending) {
             Ok(0) => true,
             Ok(_) => false,
             Err(e)
@@ -452,6 +462,12 @@ fn serve_connection(
             Err(e) => return Err(e),
         };
         if !at_eof && pending.last() != Some(&b'\n') {
+            if pending.len() > MAX_LINE_BYTES {
+                answered.fetch_add(1, Ordering::Relaxed);
+                let message = format!("request line exceeds {MAX_LINE_BYTES} bytes");
+                writeln!(writer, "error: {}", coded(ErrorCode::LineTooLong, message))?;
+                return Ok(());
+            }
             // Mid-line (the delimiter hasn't arrived yet): keep reading.
             continue;
         }
@@ -688,5 +704,54 @@ mod tests {
         assert_eq!(sec.stats().num_live, expected_sec_live - 1);
         assert_eq!(report.connections, 3);
         assert!(report.requests >= 22, "{report:?}");
+    }
+
+    #[test]
+    fn overlong_line_is_refused_and_the_connection_closed() {
+        let data = financial();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let session = single_session(data.securities.records().to_vec());
+
+        let clients = std::thread::spawn(move || {
+            // One byte past the cap, never a newline. The read timeout
+            // and the scoped stream turn a server that never answers into
+            // a failure, not a hang.
+            let (refused, closed) = {
+                let stream = TcpStream::connect(addr).unwrap();
+                stream
+                    .set_read_timeout(Some(Duration::from_secs(5)))
+                    .unwrap();
+                let mut writer = stream.try_clone().unwrap();
+                let chunk = vec![b'x'; 1 << 16];
+                let mut left = MAX_LINE_BYTES + 1;
+                while left > 0 {
+                    let n = left.min(chunk.len());
+                    writer.write_all(&chunk[..n]).unwrap();
+                    left -= n;
+                }
+                let mut reader = BufReader::new(stream);
+                let mut refused = String::new();
+                let _ = reader.read_line(&mut refused);
+                let closed = matches!(reader.read_line(&mut String::new()), Ok(0));
+                (refused, closed)
+            };
+
+            // The server keeps serving other connections.
+            let stream = TcpStream::connect(addr).unwrap();
+            let mut writer = stream.try_clone().unwrap();
+            let mut reader = BufReader::new(stream);
+            let mut pong = String::new();
+            writeln!(writer, "ping").unwrap();
+            reader.read_line(&mut pong).unwrap();
+            writeln!(writer, "shutdown").unwrap();
+            (refused, closed, pong)
+        });
+        let (_, report) = serve_tcp(listener, session, 1).unwrap();
+        let (refused, closed, pong) = clients.join().unwrap();
+        assert!(refused.starts_with("error: line-too-long: "), "{refused:?}");
+        assert!(closed, "the connection must close after line-too-long");
+        assert_eq!(pong.trim_end(), "pong");
+        assert_eq!(report.connections, 2);
     }
 }

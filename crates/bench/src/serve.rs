@@ -271,6 +271,9 @@ pub enum ErrorCode {
     Io,
     /// The single writer is gone (server shutting down).
     WriterGone,
+    /// A TCP request line exceeded the per-connection line cap; the
+    /// server closes the connection after answering.
+    LineTooLong,
 }
 
 impl ErrorCode {
@@ -288,6 +291,7 @@ impl ErrorCode {
             ErrorCode::NotDurable => "not-durable",
             ErrorCode::Io => "io",
             ErrorCode::WriterGone => "writer-gone",
+            ErrorCode::LineTooLong => "line-too-long",
         }
     }
 }

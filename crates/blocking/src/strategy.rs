@@ -192,11 +192,11 @@ pub fn run_blockers_traced<R: Record + Sync>(
     run_blocker_refs_traced(records, &refs, ctx)
 }
 
-/// [`run_blockers_traced`] over borrowed trait objects — the sharded and
-/// incremental engines dispatch recipe *subsets* (e.g. only the
+/// [`run_blockers_traced`] over borrowed trait objects — the engine's
+/// incremental re-block dispatches a recipe *subset* (only the
 /// cross-shard hash joins) this way. One implementation of the
 /// "concurrent when >1 recipe and >1 worker, per-recipe stopwatch,
-/// shape-stable run list" contract serves every execution path, so the
+/// shape-stable run list" contract serves every blocking call, so the
 /// perf gate's trace semantics cannot drift between them.
 pub fn run_blocker_refs_traced<R: Record + Sync>(
     records: &[R],

@@ -39,7 +39,8 @@
 //! from that block tree. Stoer–Wagner / max-flow [`global_min_cut`] runs
 //! only on 2-edge-connected regions. Nothing persists between calls: a
 //! dirty component is scanned once per cleanup (`docs/CLEANUP.md`). The
-//! seed implementation survives as [`reference_graph_cleanup`] for
+//! seed implementation survives as
+//! [`reference_graph_cleanup`](crate::reference::reference_graph_cleanup) for
 //! benchmarking and fallback-injection tests.
 
 use gralmatch_graph::{
@@ -565,100 +566,10 @@ pub fn graph_cleanup_with_pool(
     report
 }
 
-/// The seed implementation of Algorithm 1: re-induce the whole component
-/// from the global graph and rebuild a fresh local graph after **every**
-/// edge removal, with a full `connected_components` pass per round.
-///
-/// Kept as the wall-clock baseline for the hub bench (`hubbench`) and for
-/// verifying that the perf gate catches a regression to sequential
-/// full-recompute behaviour. Produces the same final components as
-/// [`graph_cleanup`] (all ≤ μ) but may choose different cut edges, so do
-/// not compare removed-edge sets across the two.
-pub fn reference_graph_cleanup(graph: &mut Graph, config: &CleanupConfig) -> CleanupReport {
-    let stopwatch = Stopwatch::start();
-    let mut report = CleanupReport::default();
-
-    let mut queue: Vec<Vec<u32>> = connected_components(graph)
-        .into_iter()
-        .filter(|component| component.len() > config.mu.min(config.gamma))
-        .collect();
-
-    // Phase 1: minimum edge cuts while |c| > γ.
-    let phase1_watch = Stopwatch::start();
-    let mut phase2: Vec<Vec<u32>> = Vec::new();
-    while let Some(component) = queue.pop() {
-        if component.len() <= config.gamma {
-            phase2.push(component);
-            continue;
-        }
-        let sub = Subgraph::induce(graph, &component);
-        let Some(cut) = global_min_cut(&sub) else {
-            phase2.push(component);
-            continue;
-        };
-        report.mincut_rounds += 1;
-        for &(a, b) in &cut.cut_edges {
-            if graph.remove_edge(sub.locals[a as usize], sub.locals[b as usize]) {
-                report.mincut_removed += 1;
-            }
-        }
-        let local_graph = {
-            let mut g = Graph::with_nodes(sub.num_nodes());
-            for &(a, b) in &sub.edges {
-                g.add_edge(a, b);
-            }
-            for &(a, b) in &cut.cut_edges {
-                g.remove_edge(a, b);
-            }
-            g
-        };
-        for part in connected_components(&local_graph) {
-            let originals: Vec<u32> = part.iter().map(|&i| sub.locals[i as usize]).collect();
-            if originals.len() > config.mu {
-                queue.push(originals);
-            }
-        }
-    }
-    report.mincut_seconds = phase1_watch.elapsed_secs();
-
-    // Phase 2: betweenness-centrality removal while |c| > μ.
-    let phase2_watch = Stopwatch::start();
-    while let Some(component) = phase2.pop() {
-        if component.len() <= config.mu {
-            continue;
-        }
-        let sub = Subgraph::induce(graph, &component);
-        let Some(((a, b), _)) = max_betweenness_edge(&sub) else {
-            continue;
-        };
-        report.betweenness_rounds += 1;
-        if graph.remove_edge(sub.locals[a as usize], sub.locals[b as usize]) {
-            report.betweenness_removed += 1;
-        }
-        let local_graph = {
-            let mut g = Graph::with_nodes(sub.num_nodes());
-            for &edge in &sub.edges {
-                g.add_edge(edge.0, edge.1);
-            }
-            g.remove_edge(a, b);
-            g
-        };
-        for part in connected_components(&local_graph) {
-            let originals: Vec<u32> = part.iter().map(|&i| sub.locals[i as usize]).collect();
-            if originals.len() > config.mu {
-                phase2.push(originals);
-            }
-        }
-    }
-    report.betweenness_seconds = phase2_watch.elapsed_secs();
-
-    report.seconds = stopwatch.elapsed_secs();
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::reference_graph_cleanup;
     use gralmatch_graph::largest_component;
 
     /// Two K4 cliques joined by one false edge.

@@ -14,7 +14,6 @@
 use crate::engine::{FixedScorerProvider, MatchEngine};
 use crate::pipeline::{MatchingOutcome, PipelineConfig};
 use crate::shard::ShardPlan;
-use crate::stage::{StageContext, StagePipeline};
 use gralmatch_blocking::{
     run_blockers, Blocker, BlockingContext, CandidateSet, CompanyIdOverlap, IssuerMatch,
     SecurityIdOverlap, TokenOverlap, TokenOverlapConfig,
@@ -28,7 +27,7 @@ use gralmatch_records::{
 use gralmatch_util::{Error, FxHashMap};
 use std::cell::OnceCell;
 
-/// A dataset the staged pipeline can match: records, ground truth, and the
+/// A dataset the engine can match: records, ground truth, and the
 /// declarative blocking recipe.
 pub trait MatchingDomain {
     /// The record type.
@@ -52,8 +51,8 @@ pub trait MatchingDomain {
     }
 }
 
-/// Run a domain's blocking recipe without the rest of the pipeline
-/// (sequential; the staged engine parallelizes through its own context).
+/// Run a domain's blocking recipe without the rest of the pipeline, on
+/// one worker (the engine blocks on its configured pool).
 pub fn blocked_candidates<D: MatchingDomain>(domain: &D) -> CandidateSet {
     run_blockers(
         domain.records(),
@@ -83,31 +82,6 @@ where
         config.clone(),
     )?;
     Ok(engine.evaluate(domain.ground_truth(), &load))
-}
-
-/// Run the **legacy staged** one-shot pipeline
-/// (`BlockingStage → InferenceStage → CleanupStage → GroupingStage`).
-///
-/// This is the pre-engine reference implementation, kept as the
-/// *independent oracle* the equivalence suites compare
-/// [`MatchEngine`]-routed runs against
-/// (`tests/engine_equivalence.rs`, `tests/shard_equivalence.rs`); the
-/// legacy sharded runner's single-shard branch also lands here so the
-/// oracle never routes through the engine. Production callers use
-/// [`run_domain`] or the engine directly.
-pub fn run_domain_staged<D: MatchingDomain>(
-    domain: &D,
-    scorer: &dyn PairScorer,
-    config: &PipelineConfig,
-) -> Result<MatchingOutcome, Error> {
-    let mut ctx = StageContext::new(
-        domain.records().len(),
-        domain.ground_truth(),
-        scorer,
-        config,
-    );
-    let trace = StagePipeline::standard(domain).run(&mut ctx)?;
-    Ok(MatchingOutcome::from_context(ctx, trace))
 }
 
 /// Run a one-shot match over a domain with a pairwise matcher and

@@ -1,31 +1,25 @@
 //! The long-lived match engine: incremental execution as the *only* code
 //! path, with group lookups served from a standing index.
 //!
-//! Earlier revisions had three parallel ways to run the Figure 1 pipeline
-//! — the one-shot staged lineup
-//! ([`run_domain`](crate::domain::run_domain)), the sharded runner
-//! ([`run_sharded`](crate::shard::run_sharded)), and the incremental
-//! upsert reconciliation ([`PipelineState::apply`]) — plus bespoke
-//! scorer-state threading in the bench replay. A [`MatchEngine`] collapses
-//! them: it owns the [`PipelineState`], the blocking-strategy list, the
-//! scorer (with any compiled featurization view, see
+//! A [`MatchEngine`] owns the [`PipelineState`], the blocking-strategy
+//! list, the scorer (with any compiled featurization view, see
 //! [`CompiledScorerProvider`]), and a record-id → group index for its
 //! whole lifetime, and **every** execution shape is expressed through
 //! [`MatchEngine::apply_batch`]:
 //!
 //! * a **one-shot run** is [`MatchEngine::bootstrap`] — a single
-//!   insert-only batch against an empty state (already property-tested
-//!   equivalent to the staged one-shot),
+//!   insert-only batch against an empty state
+//!   ([`run_domain`](crate::domain::run_domain) wraps it),
 //! * a **sharded run** is the same bootstrap under a multi-shard
 //!   [`ShardPlan`],
 //! * an **incremental run** is the bootstrap followed by more batches,
 //! * a **serving process** is [`MatchEngine::from_state`] — a state and a
 //!   trained matcher loaded from disk — followed by batches and lookups.
 //!
-//! The legacy staged/sharded runners survive only as the *reference
-//! oracle* the equivalence suites compare against
-//! (`tests/engine_equivalence.rs`, `tests/upsert_equivalence.rs`); the
-//! public one-shot entry points are thin wrappers over this engine.
+//! Whatever the batch split, the groups must equal the from-scratch
+//! [`reference::run`](crate::reference::run) under the same plan — the
+//! oracle the equivalence suites replay the engine against
+//! (`tests/engine_equivalence.rs`, `tests/upsert_equivalence.rs`).
 //!
 //! ## Group lookups
 //!
@@ -422,9 +416,8 @@ impl<'a, R: Record + Clone + Sync> MatchEngine<'a, R> {
     }
 
     /// One-shot load: an empty engine plus a single insert-only batch.
-    /// This **is** the engine's one-shot run — under a single-shard plan
-    /// it replaces the staged `run_domain` lineup, under a multi-shard
-    /// plan the sharded runner.
+    /// This **is** the engine's one-shot run, unsharded or sharded by
+    /// `plan`.
     pub fn bootstrap(
         plan: ShardPlan,
         records: Vec<R>,
@@ -806,8 +799,7 @@ impl<'a, R: Record + Clone + Sync> MatchEngine<'a, R> {
 
     /// Evaluate the standing state under the paper's three-stage protocol
     /// (pairwise / pre-cleanup / post-cleanup), packaging a
-    /// [`MatchingOutcome`] exactly like the legacy one-shot entry points
-    /// did. `load` supplies the per-stage trace and blocking diagnostics
+    /// [`MatchingOutcome`]. `load` supplies the per-stage trace and blocking diagnostics
     /// of the batch that produced the standing state (usually the
     /// bootstrap batch).
     pub fn evaluate(&self, gt: &GroundTruth, load: &UpsertOutcome) -> MatchingOutcome {

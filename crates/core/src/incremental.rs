@@ -20,29 +20,30 @@
 //!    pair whose endpoints did not change keeps its score; pairs touching
 //!    an updated/deleted record, and pairs the re-block newly proposed,
 //!    go to the scorer.
-//! 3. **Reconcile through [`MergeStage`].** Retained predictions and new
-//!    positives union via `UnionFind`; components containing a dirty node
-//!    (changed record or retracted raw edge endpoint) or a new positive
-//!    edge are rebuilt from raw predictions and pass through pre-cleanup +
-//!    Algorithm 1 again — all other components keep their standing cleaned
-//!    edges untouched.
+//! 3. **Reconcile through `merge_dirty_components`.** Retained
+//!    predictions and new positives union via `UnionFind`; components
+//!    containing a dirty node (changed record or retracted raw edge
+//!    endpoint) or a new positive edge are rebuilt from raw predictions
+//!    and pass through pre-cleanup + Algorithm 1 again — all other
+//!    components keep their standing cleaned edges untouched.
 //!
 //! Because every step preserves the pipeline's observable state exactly —
 //! the candidate set (with provenance), the raw positive predictions, and
 //! the per-component cleanup of the raw prediction graph — an initial load
 //! followed by **any** partition of the remaining records into upsert
-//! batches lands on the same groups as a one-shot [`run_sharded`] over the
-//! final population (property-tested in `tests/upsert_equivalence.rs`).
-//! The initial load itself is just an insert-only batch against an empty
-//! state, so there is one reconciliation code path, not two.
+//! batches lands on the same groups as a from-scratch [`reference::run`]
+//! over the final population (property-tested in
+//! `tests/upsert_equivalence.rs`). The initial load itself is just an
+//! insert-only batch against an empty state, so there is one
+//! reconciliation code path, not two.
 //!
-//! [`run_sharded`]: crate::shard::run_sharded
+//! [`reference::run`]: crate::reference::run
 //! [`MAX_CODE_HOLDERS`]: gralmatch_blocking::MAX_CODE_HOLDERS
 
 use crate::cleanup::CleanupReport;
 use crate::groups::entity_groups;
 use crate::pipeline::PipelineConfig;
-use crate::shard::{MergeStage, ShardKey, ShardPlan};
+use crate::shard::{merge_dirty_components, ShardKey, ShardPlan};
 use crate::trace::{stage_names, PipelineTrace, StageTrace};
 use gralmatch_blocking::{
     text_only_provenance, Blocker, BlockerRun, BlockingContext, CandidateSet,
@@ -553,8 +554,7 @@ impl<R: Record + Clone + Sync> PipelineState<R> {
         let ctx = BlockingContext::with_pool(pool);
         let mut blocker_runs: Vec<BlockerRun> = Vec::new();
 
-        // Independent hash joins run concurrently on the shared pool,
-        // through the same dispatch `run_sharded` uses for this subset.
+        // Independent hash joins run concurrently on the shared pool.
         let cross_blockers: Vec<&dyn Blocker<R>> = strategies
             .iter()
             .filter(|b| b.cross_shard())
@@ -648,9 +648,10 @@ impl<R: Record + Clone + Sync> PipelineState<R> {
                 candidates_now.provenance(RecordPair::new(RecordId(a), RecordId(b))),
             )
         };
-        let merge = MergeStage::new(config).merge(
+        let merge = merge_dirty_components(
+            config,
             self.num_ids,
-            std::slice::from_ref(&self.cleaned),
+            &self.cleaned,
             &persisting,
             &new_positives,
             &dirty_nodes,
@@ -674,7 +675,6 @@ impl<R: Record + Clone + Sync> PipelineState<R> {
             seconds: blocking_seconds,
             items_in: batch.len(),
             items_out: self.candidates.len(),
-            rss_delta_bytes: None,
             arena_bytes: None,
             core_seconds: None,
             phases: None,
@@ -684,7 +684,6 @@ impl<R: Record + Clone + Sync> PipelineState<R> {
             seconds: inference_seconds,
             items_in: to_score.len(),
             items_out: new_prediction_count,
-            rss_delta_bytes: None,
             // The scorer's compiled view persists across batches and is
             // rebuilt only for touched records; report its footprint so
             // the upsert JSON shows memory next to wall-clock.
@@ -697,7 +696,6 @@ impl<R: Record + Clone + Sync> PipelineState<R> {
             seconds: merge_seconds,
             items_in: new_prediction_count,
             items_out: groups.len(),
-            rss_delta_bytes: None,
             arena_bytes: None,
             core_seconds: Some(merge.cleanup.seconds),
             phases: Some(merge.cleanup.phases()),
@@ -873,7 +871,7 @@ mod tests {
     use super::*;
     use crate::domain::{MatchingDomain, SecurityDomain};
     use crate::pipeline::OracleScorer;
-    use crate::shard::run_sharded;
+    use crate::reference;
     use gralmatch_datagen::{generate, GenerationConfig};
     use gralmatch_records::SecurityRecord;
     use gralmatch_util::FxHashMap;
@@ -916,7 +914,7 @@ mod tests {
         let config = PipelineConfig::new(25, 5);
         let plan = ShardPlan::new(4);
 
-        let one_shot = run_sharded(&domain, &scorer, &config, &plan).unwrap();
+        let one_shot = reference::run(&domain, &scorer, &config, &plan);
         let (state, outcome) = PipelineState::initial_load(
             plan,
             securities.to_vec(),
@@ -925,12 +923,9 @@ mod tests {
             &config,
         )
         .unwrap();
-        assert_eq!(
-            normalize(&outcome.groups),
-            normalize(&one_shot.outcome.groups)
-        );
-        assert_eq!(state.candidates().len(), one_shot.outcome.num_candidates);
-        assert_eq!(state.predicted().len(), one_shot.outcome.num_predicted);
+        assert_eq!(normalize(&outcome.groups), normalize(&one_shot.groups));
+        assert_eq!(state.candidates().len(), one_shot.num_candidates);
+        assert_eq!(state.predicted().len(), one_shot.num_predicted);
         assert_eq!(outcome.inserted, securities.len());
         assert_eq!(outcome.touched_shards, 4);
         // Every recipe reports, including those local to a single shard.

@@ -1,18 +1,13 @@
 //! Pipeline configuration, outcome, and the oracle scorers.
 //!
-//! The end-to-end pipeline (paper Figure 1) is a **domain-generic staged
-//! engine**: a [`MatchingDomain`](crate::domain::MatchingDomain) supplies
-//! records, ground truth, and a declarative
-//! [`Blocker`](gralmatch_blocking::Blocker) list, and the
-//! [`StagePipeline`] drives
-//!
-//! ```text
-//! BlockingStage → InferenceStage → CleanupStage → GroupingStage
-//! ```
-//!
-//! over a shared context, recording wall-clock / throughput / memory per
-//! stage into a [`PipelineTrace`]. The usual
-//! entry points are [`run_domain`](crate::domain::run_domain) /
+//! The end-to-end pipeline (paper Figure 1) runs through one engine,
+//! [`MatchEngine`](crate::engine::MatchEngine): a
+//! [`MatchingDomain`](crate::domain::MatchingDomain) supplies records,
+//! ground truth, and a declarative [`Blocker`](gralmatch_blocking::Blocker)
+//! list, and a one-shot run is the engine's bootstrap batch
+//! (`blocking → inference → merge`, traced per stage into a
+//! [`PipelineTrace`]). The usual entry points are
+//! [`run_domain`](crate::domain::run_domain) /
 //! [`run_domain_with_matcher`](crate::domain::run_domain_with_matcher) with
 //! one of the paper domains ([`CompanyDomain`](crate::domain::CompanyDomain),
 //! [`SecurityDomain`](crate::domain::SecurityDomain),
@@ -21,18 +16,15 @@
 //! groups of Table 4) in a [`MatchingOutcome`].
 //!
 //! This module keeps the engine-independent pieces — [`PipelineConfig`],
-//! [`MatchingOutcome`], the oracle scorers. (The pre-engine free-function
-//! shims — `company_candidates`, `run_pipeline`, … — served their one
-//! deprecation release and are gone; use the domain/engine entry points.)
+//! [`MatchingOutcome`], the oracle scorers.
 
 use crate::cleanup::{CleanupConfig, CleanupReport};
 use crate::metrics::{GroupMetrics, PairMetrics};
-use crate::stage::{StageContext, StagePipeline};
 use crate::trace::PipelineTrace;
-use gralmatch_blocking::{BlockerRun, CandidateSet};
+use gralmatch_blocking::BlockerRun;
 use gralmatch_lm::PairScorer;
 use gralmatch_records::{GroundTruth, RecordId, RecordPair};
-use gralmatch_util::{Error, FxHashSet, Parallelism};
+use gralmatch_util::{FxHashSet, Parallelism};
 
 /// Pipeline knobs (γ/μ per Table 2, parallelism, pre-cleanup).
 #[derive(Debug, Clone)]
@@ -91,8 +83,8 @@ pub struct MatchingOutcome {
     pub trace: PipelineTrace,
     /// Per-recipe blocking diagnostics: one entry per recipe of the
     /// domain's blocking list, zero-candidate recipes included, so report
-    /// shapes are stable across runs. Empty when blocking ran outside the
-    /// engine (seeded candidate sets).
+    /// shapes are stable across runs. Empty for
+    /// [`reference`](crate::reference) outcomes, which trace nothing.
     pub blocker_runs: Vec<BlockerRun>,
     /// Cleanup diagnostics.
     pub cleanup_report: CleanupReport,
@@ -104,42 +96,6 @@ impl MatchingOutcome {
     pub fn inference_seconds(&self) -> f64 {
         self.trace.inference_seconds()
     }
-
-    /// Assemble the outcome from a finished stage context.
-    ///
-    /// # Panics
-    /// If the context did not run the full inference→cleanup→grouping
-    /// lineup (engine entry points guarantee it did).
-    pub fn from_context(ctx: StageContext<'_>, trace: PipelineTrace) -> Self {
-        MatchingOutcome {
-            num_candidates: ctx.num_candidates,
-            num_predicted: ctx.predicted.as_ref().map_or(0, Vec::len),
-            pairwise: ctx.pairwise.expect("inference stage ran"),
-            pre_cleanup: ctx.pre_cleanup.expect("cleanup stage ran"),
-            post_cleanup: ctx.post_cleanup.expect("grouping stage ran"),
-            groups: ctx.groups.expect("grouping stage ran"),
-            trace,
-            blocker_runs: ctx.blocker_runs,
-            cleanup_report: ctx.cleanup_report,
-        }
-    }
-}
-
-/// Run the post-blocking stages (inference → cleanup → grouping) over a
-/// precomputed candidate set — for callers that ran blocking separately
-/// (cached blockings, incremental upserts) or drive a custom scorer.
-pub fn run_with_candidates(
-    num_records: usize,
-    candidates: &CandidateSet,
-    scorer: &dyn PairScorer,
-    gt: &GroundTruth,
-    config: &PipelineConfig,
-) -> Result<MatchingOutcome, Error> {
-    let mut ctx = StageContext::new(num_records, gt, scorer, config);
-    ctx.num_candidates = candidates.len();
-    ctx.candidates = Some(std::borrow::Cow::Borrowed(candidates));
-    let trace = StagePipeline::post_blocking().run(&mut ctx)?;
-    Ok(MatchingOutcome::from_context(ctx, trace))
 }
 
 /// Oracle matcher for tests and upper-bound experiments: predicts the
@@ -331,8 +287,8 @@ mod tests {
 
     #[test]
     fn seeded_candidates_match_engine_results() {
-        // `run_with_candidates` over a domain's blocked set must agree with
-        // the engine running blocking itself (cached-blocking contract).
+        // The reference pipeline over a domain's blocked set must agree
+        // with the engine running blocking itself.
         let data = dataset();
         let companies = data.companies.records();
         let gt = data.companies.ground_truth();
@@ -341,9 +297,13 @@ mod tests {
         let domain = CompanyDomain::new(companies, data.securities.records());
         let candidates = blocked_candidates(&domain);
         let oracle = OracleMatcher::new(&gt);
-        let via_seeded =
-            run_with_candidates(companies.len(), &candidates, &oracle.scorer(), &gt, &config)
-                .unwrap();
+        let via_seeded = crate::reference::match_candidates(
+            companies.len(),
+            &candidates,
+            &oracle.scorer(),
+            &gt,
+            &config,
+        );
         let via_engine = run_domain(&domain, &oracle.scorer(), &config).unwrap();
         assert_eq!(via_seeded.num_candidates, via_engine.num_candidates);
         assert_eq!(via_seeded.num_predicted, via_engine.num_predicted);

@@ -1,29 +1,24 @@
 //! Unified per-stage diagnostics for pipeline runs.
 //!
-//! Every stage of the execution engine records wall-clock seconds, item
-//! counts, and the resident-set delta into a [`PipelineTrace`] — replacing
-//! the old ad-hoc `inference_seconds` field with a uniform view over the
-//! whole Figure 1 pipeline. The Table 4 binaries read the inference stage's
-//! timing from here; ops dashboards get blocking/cleanup/grouping for free.
+//! Every stage of an engine batch records wall-clock seconds and item
+//! counts into a [`PipelineTrace`] — a uniform view over the whole
+//! Figure 1 pipeline. The Table 4 binaries read the inference stage's
+//! timing from here; ops dashboards get blocking and merge for free.
 
 use std::fmt;
 
-/// Canonical stage names used by the standard pipeline.
+/// Canonical stage names of an engine batch.
 pub mod stage_names {
     /// Candidate generation.
     pub const BLOCKING: &str = "blocking";
     /// Pairwise matching over blocked candidates.
     pub const INFERENCE: &str = "inference";
-    /// Pre-cleanup + Algorithm 1.
-    pub const CLEANUP: &str = "cleanup";
-    /// Connected components → entity groups.
-    pub const GROUPING: &str = "grouping";
-    /// Cross-shard merge (sharded pipelines only): boundary blocking +
-    /// scoring, component union, boundary cleanup.
+    /// Dirty-component merge: component union, pre-cleanup and
+    /// Algorithm 1 over the rebuilt components.
     pub const MERGE: &str = "merge";
 }
 
-/// Per-phase wall-clock split of a cleanup-bearing stage: the pre-cleanup
+/// Per-phase wall-clock split of the merge stage's cleanup: the pre-cleanup
 /// pass, the min-cut phase, and the betweenness phase of Algorithm 1.
 ///
 /// Min-cut/betweenness seconds are summed across components, so under a
@@ -38,17 +33,6 @@ pub struct CleanupPhases {
     pub betweenness_seconds: f64,
 }
 
-impl CleanupPhases {
-    /// Fieldwise sum, for rolling shard traces up.
-    pub fn merged(self, other: CleanupPhases) -> CleanupPhases {
-        CleanupPhases {
-            pre_cleanup_seconds: self.pre_cleanup_seconds + other.pre_cleanup_seconds,
-            mincut_seconds: self.mincut_seconds + other.mincut_seconds,
-            betweenness_seconds: self.betweenness_seconds + other.betweenness_seconds,
-        }
-    }
-}
-
 /// Diagnostics of one executed stage.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StageTrace {
@@ -60,8 +44,6 @@ pub struct StageTrace {
     pub items_in: usize,
     /// Items leaving the stage.
     pub items_out: usize,
-    /// Resident-set change across the stage, when the platform exposes RSS.
-    pub rss_delta_bytes: Option<i64>,
     /// Heap bytes of the scorer's compiled featurization arena (symbol
     /// arena + per-symbol feature tables + interner), reported by
     /// inference stages driven by a compiled scorer — the memory side of
@@ -72,8 +54,7 @@ pub struct StageTrace {
     /// candidate sort and metrics pass). `seconds` is always the full
     /// stage wall-clock.
     pub core_seconds: Option<f64>,
-    /// Per-phase cleanup timing split, reported by cleanup-bearing stages
-    /// (cleanup, merge).
+    /// Per-phase cleanup timing split, reported by the merge stage.
     pub phases: Option<CleanupPhases>,
 }
 
@@ -99,46 +80,6 @@ impl PipelineTrace {
     /// Record a finished stage.
     pub fn push(&mut self, stage: StageTrace) {
         self.stages.push(stage);
-    }
-
-    /// Roll several traces (e.g. one per shard) up into one: same-named
-    /// stages are summed — seconds, item counts, RSS deltas, and core
-    /// timings — in first-appearance order, so a sharded run reports one
-    /// aggregate line per stage like an unsharded run does.
-    pub fn rolled_up(traces: &[PipelineTrace]) -> PipelineTrace {
-        let mut rolled = PipelineTrace::default();
-        for trace in traces {
-            for stage in &trace.stages {
-                match rolled.stages.iter_mut().find(|s| s.stage == stage.stage) {
-                    Some(existing) => {
-                        existing.seconds += stage.seconds;
-                        existing.items_in += stage.items_in;
-                        existing.items_out += stage.items_out;
-                        existing.rss_delta_bytes =
-                            match (existing.rss_delta_bytes, stage.rss_delta_bytes) {
-                                (Some(a), Some(b)) => Some(a + b),
-                                (a, b) => a.or(b),
-                            };
-                        // Shards share one compiled arena: report the
-                        // largest observation, not a double-counting sum.
-                        existing.arena_bytes = match (existing.arena_bytes, stage.arena_bytes) {
-                            (Some(a), Some(b)) => Some(a.max(b)),
-                            (a, b) => a.or(b),
-                        };
-                        existing.core_seconds = match (existing.core_seconds, stage.core_seconds) {
-                            (Some(a), Some(b)) => Some(a + b),
-                            (a, b) => a.or(b),
-                        };
-                        existing.phases = match (existing.phases, stage.phases) {
-                            (Some(a), Some(b)) => Some(a.merged(b)),
-                            (a, b) => a.or(b),
-                        };
-                    }
-                    None => rolled.stages.push(stage.clone()),
-                }
-            }
-        }
-        rolled
     }
 
     /// Total wall-clock seconds across all stages.
@@ -171,17 +112,14 @@ impl fmt::Display for PipelineTrace {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "{:<12} {:>10} {:>12} {:>12} {:>14}",
-            "stage", "seconds", "items in", "items out", "rss delta"
+            "{:<12} {:>10} {:>12} {:>12}",
+            "stage", "seconds", "items in", "items out"
         )?;
         for stage in &self.stages {
-            let rss = stage.rss_delta_bytes.map_or("-".to_string(), |d| {
-                format!("{:+.1} MiB", d as f64 / (1024.0 * 1024.0))
-            });
             writeln!(
                 f,
-                "{:<12} {:>10.3} {:>12} {:>12} {:>14}",
-                stage.stage, stage.seconds, stage.items_in, stage.items_out, rss
+                "{:<12} {:>10.3} {:>12} {:>12}",
+                stage.stage, stage.seconds, stage.items_in, stage.items_out
             )?;
         }
         write!(f, "total        {:>10.3}", self.total_seconds())
@@ -199,7 +137,6 @@ mod tests {
             seconds: 0.5,
             items_in: 100,
             items_out: 400,
-            rss_delta_bytes: Some(1 << 20),
             arena_bytes: None,
             core_seconds: None,
             phases: None,
@@ -209,7 +146,6 @@ mod tests {
             seconds: 2.0,
             items_in: 400,
             items_out: 120,
-            rss_delta_bytes: None,
             arena_bytes: Some(1 << 16),
             core_seconds: Some(1.5),
             phases: Some(CleanupPhases {
@@ -241,35 +177,11 @@ mod tests {
             seconds: 0.0,
             items_in: 10,
             items_out: 10,
-            rss_delta_bytes: None,
             arena_bytes: None,
             core_seconds: None,
             phases: None,
         };
         assert_eq!(instant.throughput(), 0.0);
-    }
-
-    #[test]
-    fn rolled_up_sums_same_named_stages() {
-        let shard_a = sample();
-        let shard_b = sample();
-        let rolled = PipelineTrace::rolled_up(&[shard_a, shard_b]);
-        assert_eq!(rolled.stages.len(), 2, "one aggregate line per stage");
-        let blocking = rolled.stage(stage_names::BLOCKING).unwrap();
-        assert!((blocking.seconds - 1.0).abs() < 1e-12);
-        assert_eq!(blocking.items_in, 200);
-        assert_eq!(blocking.rss_delta_bytes, Some(2 << 20));
-        let inference = rolled.stage(stage_names::INFERENCE).unwrap();
-        assert_eq!(inference.core_seconds, Some(3.0));
-        // Phase splits sum fieldwise across shards.
-        let phases = inference.phases.unwrap();
-        assert!((phases.pre_cleanup_seconds - 0.2).abs() < 1e-12);
-        assert!((phases.mincut_seconds - 0.6).abs() < 1e-12);
-        assert!((phases.betweenness_seconds - 0.4).abs() < 1e-12);
-        // Arena sizes roll up as a max (shards share one compiled view).
-        assert_eq!(inference.arena_bytes, Some(1 << 16));
-        // Order is first-appearance: blocking before inference.
-        assert_eq!(rolled.stages[0].stage, stage_names::BLOCKING);
     }
 
     #[test]

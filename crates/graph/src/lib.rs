@@ -17,22 +17,18 @@
 //! All algorithms operate on *induced subgraphs* given as a node list, since
 //! the cleanup only ever looks at one component at a time.
 
-pub mod articulation;
 pub mod betweenness;
 pub mod bridges;
 pub mod components;
 pub mod graph;
-pub mod kcore;
 pub mod maxflow;
 pub mod mincut;
 pub mod unionfind;
 
-pub use articulation::articulation_points;
 pub use betweenness::edge_betweenness;
 pub use bridges::{cut_structure, find_bridges, most_balanced_bridge, BridgeSplit, CutStructure};
 pub use components::{component_of, connected_components, largest_component, Subgraph};
 pub use graph::{Edge, Graph, NodeId};
-pub use kcore::{core_numbers, degeneracy};
 pub use maxflow::{min_st_cut, Dinic};
 pub use mincut::{global_min_cut, MinCut};
 pub use unionfind::UnionFind;

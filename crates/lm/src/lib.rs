@@ -23,7 +23,6 @@ pub mod compiled;
 pub mod encode;
 pub mod features;
 pub mod inference;
-pub mod llm;
 pub mod matcher;
 pub mod model;
 pub mod persist;
@@ -37,7 +36,6 @@ pub use features::{featurize, FeatureConfig, PairFeatures};
 pub use inference::{
     predict_positive_with, score_pairs_with, CompiledScorer, MatcherScorer, PairScorer, ScoredPair,
 };
-pub use llm::{LlmCostModel, SimulatedLlmMatcher};
 pub use matcher::{CompiledMatcher, HeuristicMatcher, PairwiseMatcher, TrainedMatcher};
 pub use model::{log_loss, sigmoid, Adagrad, LogisticModel};
 pub use persist::SavedModel;

@@ -43,8 +43,8 @@ fn main() {
     // ID overlap (through securities) + token overlap.
     let domain = CompanyDomain::new(companies, data.securities.records());
 
-    // 4-5. The staged pipeline: blocking -> pairwise matching -> GraLMatch
-    // Graph Cleanup (γ=25, μ=5) -> entity groups.
+    // 4-5. The engine's one-shot run: blocking -> pairwise matching ->
+    // GraLMatch Graph Cleanup (γ=25, μ=5) -> entity groups.
     let pipeline = PipelineConfig::new(25, 5).with_pre_cleanup(50);
     let outcome =
         run_domain_with_matcher(&domain, &matcher, &encoded, &pipeline).expect("pipeline runs");

@@ -10,14 +10,14 @@
 //!   every component at or under μ;
 //! * replaying the hub-entity dataset through the incremental engine —
 //!   bootstrap load plus churn batches that keep dirtying the
-//!   mega-component — lands on exactly the groups of a one-shot
-//!   [`run_sharded`] over the final population.
+//!   mega-component — lands on exactly the groups of a from-scratch
+//!   [`reference::run`] over the final population.
 //!
 //! The offline build has no `proptest`; cases are deterministic seeded
 //! instances with the seed in every assertion message.
 
 use gralmatch::core::{
-    graph_cleanup, graph_cleanup_with_pool, reference_graph_cleanup, run_sharded, CleanupConfig,
+    graph_cleanup, graph_cleanup_with_pool, reference, reference_graph_cleanup, CleanupConfig,
     CompanyDomain, MatchingDomain, PipelineConfig, PipelineState, ShardPlan, UpsertBatch,
 };
 use gralmatch::datagen::{hub_churn_updates, hub_companies, hub_graph, HubConfig};
@@ -182,7 +182,7 @@ fn hub_churn_replay_matches_one_shot_groups() {
     // dataset, then replay churn batches that re-submit rotating group
     // representatives (city-stamped, names unchanged). Every batch dirties
     // the hub mega-component and forces a re-clean through the parallel
-    // cleanup; the final groups must equal a one-shot sharded run.
+    // cleanup; the final groups must equal a reference run.
     let config = HubConfig {
         hubs: 2,
         groups_per_hub: 12,
@@ -251,10 +251,10 @@ fn hub_churn_replay_matches_one_shot_groups() {
 
     let final_domain =
         CompanyDomain::new(&final_records, &no_securities).with_token_config(token_config);
-    let one_shot = run_sharded(&final_domain, &scorer, &pipeline_config, &plan).unwrap();
+    let one_shot = reference::run(&final_domain, &scorer, &pipeline_config, &plan);
     assert_eq!(
         normalize(&last_groups),
-        normalize(&one_shot.outcome.groups),
+        normalize(&one_shot.groups),
         "hub churn replay diverged from one-shot groups"
     );
 

@@ -11,7 +11,7 @@
 //!   pooled cleanup of a fresh clone (edge sets and phase counters);
 //! * the incremental pipeline replaying *interior* record churn — updates
 //!   whose degraded names retract clique edges so bridges are created by
-//!   deletion — against a one-shot sharded oracle;
+//!   deletion — against the from-scratch reference pipeline;
 //! * the engine replaying the same churn with its cleanup fanned out over
 //!   one worker and over four, batch by batch.
 //!
@@ -19,9 +19,9 @@
 //! instances with the seed in every assertion message.
 
 use gralmatch::core::{
-    graph_cleanup, graph_cleanup_with_pool, run_sharded, CleanupConfig, CleanupReport,
-    CompanyDomain, CompiledScorerProvider, MatchEngine, MatchingDomain, PipelineConfig,
-    PipelineState, ShardPlan, UpsertBatch,
+    graph_cleanup, graph_cleanup_with_pool, reference, CleanupConfig, CleanupReport, CompanyDomain,
+    CompiledScorerProvider, MatchEngine, MatchingDomain, PipelineConfig, PipelineState, ShardPlan,
+    UpsertBatch,
 };
 use gralmatch::datagen::{hub_companies, hub_interior_churn_updates, HubConfig};
 use gralmatch::graph::{largest_component, Edge, Graph};
@@ -138,8 +138,7 @@ fn interior_churn_replay_matches_one_shot_groups() {
     // representative — clique edges are *retracted* and the surviving
     // rep edges become bridges created by deletion — then restore them a
     // batch later. Every re-clean scans its dirty components afresh; the
-    // final groups must equal a one-shot sharded run over the final
-    // records.
+    // final groups must equal a reference run over the final records.
     let config = HubConfig {
         hubs: 2,
         groups_per_hub: 12,
@@ -235,16 +234,15 @@ fn interior_churn_replay_matches_one_shot_groups() {
     let final_domain =
         CompanyDomain::new(&final_records, &no_securities).with_token_config(token_config);
     let final_compiled = scorer_for(&final_records);
-    let one_shot = run_sharded(
+    let one_shot = reference::run(
         &final_domain,
         &CompiledScorer::new(&matcher, &final_compiled),
         &pipeline_config,
         &plan,
-    )
-    .unwrap();
+    );
     assert_eq!(
         normalize(&last_groups),
-        normalize(&one_shot.outcome.groups),
+        normalize(&one_shot.groups),
         "interior churn replay diverged from one-shot groups"
     );
 

@@ -3,8 +3,8 @@
 
 use gralmatch::blocking::CandidateSet;
 use gralmatch::core::{
-    blocked_candidates, entity_groups, graph_cleanup, group_metrics, prediction_graph,
-    run_with_candidates, CleanupConfig, CompanyDomain, PipelineConfig,
+    blocked_candidates, entity_groups, graph_cleanup, group_metrics, prediction_graph, reference,
+    CleanupConfig, CompanyDomain, PipelineConfig,
 };
 use gralmatch::datagen::{generate, GenerationConfig};
 use gralmatch::graph::Graph;
@@ -43,8 +43,8 @@ fn small_setup() -> (
     (data, encoded, gt, candidates)
 }
 
-/// Drive the post-blocking stages with a custom matcher over a candidate
-/// set (the cached-blocking engine path, `run_with_candidates`).
+/// Score, clean and group a candidate set with a custom matcher through
+/// the reference pipeline.
 fn run_matching<M: PairwiseMatcher>(
     num_records: usize,
     candidates: &CandidateSet,
@@ -53,14 +53,13 @@ fn run_matching<M: PairwiseMatcher>(
     gt: &GroundTruth,
     config: &PipelineConfig,
 ) -> gralmatch::core::MatchingOutcome {
-    run_with_candidates(
+    reference::match_candidates(
         num_records,
         candidates,
         &MatcherScorer::new(matcher, encoded),
         gt,
         config,
     )
-    .expect("pipeline runs")
 }
 
 #[test]

@@ -1,18 +1,20 @@
 //! Property test: sharded execution is transparent.
 //!
-//! For seeded random datasets, running the pipeline through a
+//! For seeded random datasets, bootstrapping the engine under a
 //! [`ShardPlan`](gralmatch::core::ShardPlan) with the entity-keyed
 //! partition (shards ∈ {2, 4, 8}) must produce the **same final groups**
-//! as the unsharded pipeline — sharding is an execution strategy, not a
-//! semantics change. The offline build has no `proptest`, so cases are
-//! deterministic seeded instances (the seed is printed in every assertion
-//! message).
+//! as the engine's unsharded bootstrap — sharding is an execution
+//! strategy, not a semantics change — and the unsharded bootstrap must
+//! equal the single-shard [`reference`](gralmatch::core::reference) run.
+//! The offline build has no `proptest`, so cases are deterministic seeded
+//! instances (the seed is printed in every assertion message).
 
 use gralmatch::core::{
-    run_domain, run_sharded, CompanyDomain, MatchingDomain, OracleScorer, PipelineConfig,
-    SecurityDomain, ShardPlan,
+    reference, run_domain, CompanyDomain, FixedScorerProvider, MatchEngine, MatchingDomain,
+    MatchingOutcome, OracleScorer, PipelineConfig, SecurityDomain, ShardPlan,
 };
 use gralmatch::datagen::{generate, FinancialDataset, GenerationConfig};
+use gralmatch::lm::PairScorer;
 use gralmatch::records::{Record, RecordId};
 use gralmatch::util::FxHashMap;
 
@@ -23,6 +25,28 @@ fn dataset(seed: u64) -> FinancialDataset {
     config.num_entities = 100;
     config.seed = seed;
     generate(&config).unwrap()
+}
+
+/// The engine's one-shot bootstrap under `shards` entity-keyed shards,
+/// evaluated like [`run_domain`] (its single-shard case).
+fn bootstrap<D>(
+    domain: &D,
+    scorer: &dyn PairScorer,
+    config: &PipelineConfig,
+    shards: usize,
+) -> MatchingOutcome
+where
+    D: MatchingDomain,
+    D::Rec: Clone,
+{
+    let (engine, load) = MatchEngine::bootstrap_domain(
+        domain,
+        ShardPlan::new(shards),
+        Box::new(FixedScorerProvider(scorer)),
+        config.clone(),
+    )
+    .unwrap();
+    engine.evaluate(domain.ground_truth(), &load)
 }
 
 /// Order-insensitive normal form: sorted members, groups sorted.
@@ -54,24 +78,32 @@ fn sharded_security_pipeline_matches_unsharded_groups() {
         let scorer = OracleScorer::new(&gt);
         let config = PipelineConfig::new(25, 5);
         let unsharded = run_domain(&domain, &scorer, &config).unwrap();
+        let expected = reference::run(&domain, &scorer, &config, &ShardPlan::new(1));
+        assert_eq!(
+            normalize(&unsharded.groups),
+            normalize(&expected.groups),
+            "seed {seed}: unsharded bootstrap diverged from the reference"
+        );
+        assert_eq!(unsharded.num_candidates, expected.num_candidates);
+        assert_eq!(unsharded.num_predicted, expected.num_predicted);
 
         for shards in SHARD_COUNTS {
-            let sharded = run_sharded(&domain, &scorer, &config, &ShardPlan::new(shards)).unwrap();
+            let sharded = bootstrap(&domain, &scorer, &config, shards);
             assert_eq!(
-                normalize(&sharded.outcome.groups),
+                normalize(&sharded.groups),
                 normalize(&unsharded.groups),
                 "seed {seed}, {shards} shards: final groups diverged"
             );
             assert_eq!(
-                sharded.outcome.pairwise, unsharded.pairwise,
+                sharded.pairwise, unsharded.pairwise,
                 "seed {seed}, {shards} shards"
             );
             assert_eq!(
-                sharded.outcome.post_cleanup.pairs.f1, unsharded.post_cleanup.pairs.f1,
+                sharded.post_cleanup.pairs.f1, unsharded.post_cleanup.pairs.f1,
                 "seed {seed}, {shards} shards"
             );
             assert_eq!(
-                sharded.outcome.post_cleanup.cluster_purity, unsharded.post_cleanup.cluster_purity,
+                sharded.post_cleanup.cluster_purity, unsharded.post_cleanup.cluster_purity,
                 "seed {seed}, {shards} shards"
             );
         }
@@ -88,16 +120,24 @@ fn sharded_company_pipeline_matches_unsharded_groups() {
         let scorer = OracleScorer::new(&gt);
         let config = PipelineConfig::new(25, 5).with_pre_cleanup(50);
         let unsharded = run_domain(&domain, &scorer, &config).unwrap();
+        let expected = reference::run(&domain, &scorer, &config, &ShardPlan::new(1));
+        assert_eq!(
+            normalize(&unsharded.groups),
+            normalize(&expected.groups),
+            "seed {seed}: unsharded bootstrap diverged from the reference"
+        );
+        assert_eq!(unsharded.num_candidates, expected.num_candidates);
+        assert_eq!(unsharded.num_predicted, expected.num_predicted);
 
         for shards in SHARD_COUNTS {
-            let sharded = run_sharded(&domain, &scorer, &config, &ShardPlan::new(shards)).unwrap();
+            let sharded = bootstrap(&domain, &scorer, &config, shards);
             assert_eq!(
-                normalize(&sharded.outcome.groups),
+                normalize(&sharded.groups),
                 normalize(&unsharded.groups),
                 "seed {seed}, {shards} shards: final groups diverged"
             );
             assert_eq!(
-                sharded.outcome.post_cleanup.pairs.f1, unsharded.post_cleanup.pairs.f1,
+                sharded.post_cleanup.pairs.f1, unsharded.post_cleanup.pairs.f1,
                 "seed {seed}, {shards} shards"
             );
         }
@@ -131,22 +171,21 @@ fn sharded_trained_security_pipeline_matches_unsharded_groups() {
     let config = PipelineConfig::new(25, 5);
     let unsharded = run_domain(&domain, &scorer, &config).unwrap();
     for shards in SHARD_COUNTS {
-        let sharded = run_sharded(&domain, &scorer, &config, &ShardPlan::new(shards)).unwrap();
-        assert_eq!(sharded.outcome.num_candidates, unsharded.num_candidates);
+        let sharded = bootstrap(&domain, &scorer, &config, shards);
+        assert_eq!(sharded.num_candidates, unsharded.num_candidates);
         assert_eq!(
-            normalize(&sharded.outcome.groups),
+            normalize(&sharded.groups),
             normalize(&unsharded.groups),
             "{shards} shards: trained-matcher groups diverged"
         );
-        assert_eq!(sharded.outcome.pairwise, unsharded.pairwise);
+        assert_eq!(sharded.pairwise, unsharded.pairwise);
     }
 }
 
 #[test]
 fn sharded_candidate_total_is_consistent() {
-    // Shard + boundary candidates partition the candidate space: every
-    // pair lives in exactly one shard or crosses shards, so the sharded
-    // candidate count for the identifier-join recipes (securities) equals
+    // The identifier-join recipes (securities) run over the whole
+    // population whatever the plan, so the sharded candidate count equals
     // the unsharded count exactly.
     let data = dataset(23);
     let securities = data.securities.records();
@@ -159,6 +198,6 @@ fn sharded_candidate_total_is_consistent() {
     let scorer = OracleScorer::new(&gt);
     let config = PipelineConfig::new(25, 5);
     let unsharded = run_domain(&domain, &scorer, &config).unwrap();
-    let sharded = run_sharded(&domain, &scorer, &config, &ShardPlan::new(4)).unwrap();
-    assert_eq!(sharded.outcome.num_candidates, unsharded.num_candidates);
+    let sharded = bootstrap(&domain, &scorer, &config, 4);
+    assert_eq!(sharded.num_candidates, unsharded.num_candidates);
 }

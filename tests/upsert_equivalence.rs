@@ -3,8 +3,8 @@
 //! For seeded random datasets, an initial load followed by **any**
 //! partition of the remaining records into upsert batches — batch splits
 //! ∈ {1, 3, 8}, with delete/re-insert churn woven through the replay —
-//! must land on exactly the groups of a one-shot
-//! [`run_sharded`](gralmatch::core::run_sharded) over the final
+//! must land on exactly the groups of a from-scratch
+//! [`reference::run`](gralmatch::core::reference::run) over the final
 //! population. Incrementality is an execution strategy, not a semantics
 //! change. The offline build has no `proptest`, so cases are
 //! deterministic seeded instances (the seed is printed in every assertion
@@ -12,7 +12,7 @@
 
 use gralmatch::blocking::Blocker;
 use gralmatch::core::{
-    run_sharded, CompanyDomain, MatchingDomain, OracleMatcher, OracleScorer, PipelineConfig,
+    reference, CompanyDomain, MatchingDomain, OracleMatcher, OracleScorer, PipelineConfig,
     PipelineState, SecurityDomain, ShardKey, ShardPlan, UpsertBatch,
 };
 use gralmatch::datagen::{generate, FinancialDataset, GenerationConfig};
@@ -128,7 +128,7 @@ fn replayed_security_upserts_match_one_shot_groups() {
         let scorer = OracleScorer::new(&gt);
         let config = PipelineConfig::new(25, 5);
         let plan = ShardPlan::new(4);
-        let one_shot = run_sharded(&domain, &scorer, &config, &plan).unwrap();
+        let one_shot = reference::run(&domain, &scorer, &config, &plan);
         let strategies = domain.blocking_strategies();
 
         for k in BATCH_SPLITS {
@@ -137,7 +137,7 @@ fn replayed_security_upserts_match_one_shot_groups() {
             });
             assert_eq!(
                 normalize(&groups),
-                normalize(&one_shot.outcome.groups),
+                normalize(&one_shot.groups),
                 "seed {seed}, {k} batches: incremental groups diverged"
             );
         }
@@ -156,7 +156,7 @@ fn replayed_company_upserts_match_one_shot_groups() {
         let scorer = OracleScorer::new(&gt);
         let config = PipelineConfig::new(25, 5).with_pre_cleanup(50);
         let plan = ShardPlan::new(4);
-        let one_shot = run_sharded(&domain, &scorer, &config, &plan).unwrap();
+        let one_shot = reference::run(&domain, &scorer, &config, &plan);
         let strategies = domain.blocking_strategies();
 
         for k in BATCH_SPLITS {
@@ -165,7 +165,7 @@ fn replayed_company_upserts_match_one_shot_groups() {
             });
             assert_eq!(
                 normalize(&groups),
-                normalize(&one_shot.outcome.groups),
+                normalize(&one_shot.groups),
                 "seed {seed}, {k} batches: incremental groups diverged"
             );
         }
@@ -245,7 +245,7 @@ fn delete_heavy_batch_splits_a_bridged_component() {
 #[test]
 fn delete_heavy_replay_matches_one_shot_over_survivors() {
     // Delete ~a third of a seeded dataset across two delete-only batches,
-    // then compare against a one-shot sharded run over a densely
+    // then compare against a reference run over a densely
     // re-indexed copy of the survivors (monotone re-indexing preserves all
     // id-based tie-breaks, so the runs are comparable bit for bit).
     let seed = 31u64;
@@ -299,9 +299,8 @@ fn delete_heavy_replay_matches_one_shot_over_survivors() {
     let dense_domain = SecurityDomain::new(&dense, &group_of);
     let dense_gt = dense_domain.ground_truth().clone();
     let dense_scorer = OracleScorer::new(&dense_gt);
-    let one_shot = run_sharded(&dense_domain, &dense_scorer, &config, &plan).unwrap();
+    let one_shot = reference::run(&dense_domain, &dense_scorer, &config, &plan);
     let mapped: Vec<Vec<RecordId>> = one_shot
-        .outcome
         .groups
         .iter()
         .map(|group| {
@@ -324,7 +323,7 @@ fn upsert_bridges_components_across_shards() {
     // 1, same entity, no standing candidate between the sides. Inserting
     // s4 — which shares a code with each side — must merge all five into
     // one group via boundary candidates from the global hash join, exactly
-    // as a one-shot sharded run over the full five would.
+    // as a reference run over the full five would.
     let records = vec![
         security(0, 0, 1, &["AAA"]),
         security(1, 2, 1, &["AAA"]),
@@ -369,9 +368,6 @@ fn upsert_bridges_components_across_shards() {
         vec![(0..5).map(RecordId).collect::<Vec<_>>()]
     );
 
-    let one_shot = run_sharded(&domain, &scorer, &config, &plan).unwrap();
-    assert_eq!(
-        normalize(&outcome.groups),
-        normalize(&one_shot.outcome.groups)
-    );
+    let one_shot = reference::run(&domain, &scorer, &config, &plan);
+    assert_eq!(normalize(&outcome.groups), normalize(&one_shot.groups));
 }
